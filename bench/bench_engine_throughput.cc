@@ -1,5 +1,5 @@
 // Inference-engine throughput: pairs/sec of the batched multi-threaded
-// path (summary cache + worker pool) against the sequential per-pair
+// path (summary cache + thread pool) against the sequential per-pair
 // loop, on blocker output where entities recur across candidate pairs.
 
 #include <algorithm>
@@ -45,7 +45,7 @@ class SeedPathHierGat : public HierGatModel {
 int main_impl(int argc, char** argv) {
   bench::PrintHeader(
       "Inference engine throughput",
-      "batched scoring with the entity-summary cache and a work-stealing "
+      "batched scoring with the entity-summary cache and a thread "
       "pool outperforms the sequential per-pair loop on blocker output");
 
   SyntheticSpec spec;
@@ -109,16 +109,13 @@ int main_impl(int argc, char** argv) {
     }
     return Seconds(start);
   };
-  std::vector<EngineWorkerStats> worker_stats;
   auto run_engine = [&](int threads) {
     EngineOptions engine_options;
     engine_options.num_threads = threads;
     InferenceEngine engine(engine_options);
     const auto start = std::chrono::steady_clock::now();
     (void)engine.Score(model, workload);
-    const double seconds = Seconds(start);
-    worker_stats = engine.worker_stats();
-    return seconds;
+    return Seconds(start);
   };
 
   // Baseline: the pre-engine per-pair loop — every forward builds an
@@ -150,7 +147,7 @@ int main_impl(int argc, char** argv) {
   // p50/p95; later reps score against a warm summary cache, which is
   // the steady-state deployment condition. With --trace_out=PATH the
   // reps record spans into a Chrome/Perfetto trace (one track per
-  // engine worker).
+  // pool thread).
   std::string trace_out;
   static const char kTraceFlag[] = "--trace_out=";
   for (int i = 1; i < argc; ++i) {
@@ -307,13 +304,6 @@ int main_impl(int argc, char** argv) {
   result.AddMetric("cache.hit_rate", warm_stats.HitRate());
   result.AddMetric("cache.hits", static_cast<double>(warm_stats.hits));
   result.AddMetric("cache.misses", static_cast<double>(warm_stats.misses));
-  for (size_t w = 0; w < worker_stats.size(); ++w) {
-    const std::string prefix = "engine.worker" + std::to_string(w);
-    result.AddMetric(prefix + ".items",
-                     static_cast<double>(worker_stats[w].items));
-    result.AddMetric(prefix + ".steals",
-                     static_cast<double>(worker_stats[w].steals));
-  }
 
   // Per-op cost accounting: the graph replay counters accumulate as
   // "hiergat.graph.node.<op>.{replays,ns,est_flops,est_bytes}"; fold

@@ -240,7 +240,7 @@ int main_impl(int argc, char** argv) {
       speedup, kEngineThreads);
   std::printf(
       "note: the coalescing win scales with free cores — a batch spreads "
-      "across all engine workers while a 1-pair job uses one; on a "
+      "across all engine lanes while a 1-pair job uses one; on a "
       "single-core host only the amortized dispatch overhead remains.\n");
 
   if (!bench::WriteBenchJson(bench::JsonOutPath(argc, argv), result)) {

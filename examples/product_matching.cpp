@@ -1,8 +1,8 @@
 // Product matching end to end: raw source tables -> keyword blocking ->
 // labeled training pairs -> model comparison (the full Figure 5
 // pipeline, including the Blocker stage the experiment harnesses skip).
-// Matchers are built by name via MakeMatcher and the surviving
-// candidates are scored in one batch through the InferenceEngine.
+// Matchers are opened by name via Session::Open and the surviving
+// candidates are scored in one batch through the session's engine.
 
 #include <cstdio>
 #include <map>
@@ -62,21 +62,29 @@ int main() {
   std::printf("exported training pairs: %s\n", status.ToString().c_str());
 
   // Compare a classical and a neural matcher on the same data, both
-  // built by name and evaluated through the shared engine so scoring
-  // uses the batched inference path.
+  // opened by name and evaluated through the session's engine so
+  // scoring uses the batched inference path.
   TrainOptions options;
   options.epochs = 8;
-  InferenceEngine engine(EngineOptions{.num_threads = 4});
-
-  MatcherOptions matcher_options;
-  matcher_options.lm_size = LmSize::kSmall;
-  matcher_options.lm_pretrain_steps = 1500;
+  SessionOptions session_options;
+  session_options.lm_size = LmSize::kSmall;
+  session_options.lm_pretrain_steps = 1500;
+  session_options.engine.num_threads = 4;
   for (const char* name : {"magellan", "hiergat"}) {
-    const std::unique_ptr<PairwiseModel> model =
-        MakeMatcher(name, matcher_options);
-    model->Train(data, options);
-    std::printf("\n%s: %s\n", model->name().c_str(),
-                engine.Evaluate(*model, data.test).ToString().c_str());
+    session_options.matcher = name;
+    auto session_or = Session::Open(session_options);
+    if (!session_or.ok()) {
+      std::fprintf(stderr, "open failed: %s\n",
+                   session_or.status().ToString().c_str());
+      return 1;
+    }
+    Session& session = *session_or.value();
+    if (const Status train = session.Train(data, options); !train.ok()) {
+      std::fprintf(stderr, "train failed: %s\n", train.ToString().c_str());
+      return 1;
+    }
+    std::printf("\n%s: %s\n", session.model()->name().c_str(),
+                session.Evaluate(data.test).ToString().c_str());
   }
   return 0;
 }

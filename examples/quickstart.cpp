@@ -62,8 +62,8 @@ int main() {
   std::printf("\ntest metrics: %s\n", result.ToString().c_str());
 
   // 4. Batch-score the test pairs — the production path for blocker
-  //    output. The session routes through its engine (work-stealing
-  //    pool + summary cache) and the compiled scoring graphs
+  //    output. The session routes through its engine (thread pool +
+  //    summary cache) and the compiled scoring graphs
   //    (DESIGN.md §11); repeated same-shape batches replay planned
   //    arena graphs instead of re-running eager ops.
   const std::vector<float> probabilities = session->Score(data.test);

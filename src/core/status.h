@@ -31,7 +31,7 @@ enum class StatusCode {
 class Status {
  public:
   /// Constructs an OK status.
-  Status() : code_(StatusCode::kOk) {}
+  constexpr Status() : code_(StatusCode::kOk) {}
   Status(StatusCode code, std::string message)
       : code_(code), message_(std::move(message)) {}
 
@@ -88,7 +88,6 @@ class StatusOr {
   bool ok() const { return std::holds_alternative<T>(payload_); }
 
   const Status& status() const {
-    static const Status kOk;
     if (ok()) return kOk;
     return std::get<Status>(payload_);
   }
@@ -98,6 +97,12 @@ class StatusOr {
   T&& value() && { return std::get<T>(std::move(payload_)); }
 
  private:
+  // Returned by status() while a value is held. A constant-initialized
+  // member rather than a function-local static: the local's init guard
+  // made GCC 12 lose track of the variant's active member and warn
+  // -Wmaybe-uninitialized wherever a StatusOr<int> called status().
+  static constinit inline const Status kOk;
+
   std::variant<T, Status> payload_;
 };
 

@@ -1,63 +1,39 @@
 #ifndef HIERGAT_ER_ENGINE_H_
 #define HIERGAT_ER_ENGINE_H_
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <span>
-#include <thread>
 #include <vector>
 
-#include "core/status.h"
 #include "er/metrics.h"
 #include "er/model.h"
-#include "obs/trace.h"
 
 namespace hiergat {
 
-/// Cumulative per-worker activity since engine construction; read them
-/// after a run to see how work-stealing balanced the load (also exported
-/// as `hiergat.engine.*` metrics and, with tracing on, one
-/// `chrome://tracing` track per worker).
-struct EngineWorkerStats {
-  int64_t items = 0;   ///< Pairs/queries this worker scored.
-  int64_t ranges = 0;  ///< Grain-sized ranges it processed.
-  int64_t steals = 0;  ///< Ranges it stole from a peer's queue.
-};
+class ThreadPool;  // tensor/threadpool.h
 
 struct EngineOptions {
-  /// Worker threads; 0 picks std::thread::hardware_concurrency().
+  /// Lanes that score a job, the calling thread included. 0 shares
+  /// ThreadPool::Global() (sized by HIERGAT_NUM_THREADS or hardware
+  /// concurrency); > 0 gives the engine a ThreadPool of its own.
   int num_threads = 0;
-  /// Smallest range a worker pops from its own queue per step. The
-  /// model's ScoreBatch sees at least this many pairs at once (when
-  /// available), so per-batch setup amortizes; stealing may hand out
-  /// larger chunks.
-  int min_grain = 4;
-  /// Caps how many caller jobs may be enqueued (including the running
-  /// one) before additional callers block *before* joining the queue;
-  /// 0 means unlimited. The pool runs one job at a time either way —
-  /// the cap is backpressure for fan-in servers, and each wait is
-  /// counted in `hiergat.engine.queue_limit_waits`.
-  int max_queue_depth = 0;
 };
 
 /// Batched, multi-threaded inference over trained matchers.
 ///
-/// A fixed pool of workers splits the input range evenly; each worker
-/// pops grains off the front of its own range and, when dry, steals the
-/// back half of a peer's remaining range (lock-free packed-range CAS).
-/// Scored through PairwiseModel::ScoreBatch, whose contract (constness,
-/// determinism, split-invariance) makes the result bit-identical for
-/// any thread count. Workers score with attention recording off, so
-/// the models' introspection caches are never raced; call
-/// HierGatModel::InspectAttention from the owning thread instead.
+/// A job is one ThreadPool::ParallelFor over the items (pairs, or
+/// queries for collective models); the calling thread is one of the
+/// lanes. Each chunk is scored through PairwiseModel::ScoreBatch, whose
+/// contract (constness, determinism, split-invariance) makes the result
+/// bit-identical for any thread count. Chunks score with attention
+/// recording off, so the models' introspection caches are never raced;
+/// call HierGatModel::InspectAttention outside the engine instead.
 ///
 /// The engine is reusable across calls and models; it does not own the
 /// models it scores. Score/Evaluate may be called from multiple caller
-/// threads: the pool runs one job at a time and concurrent calls are
-/// serialized internally (each blocks until its own job completes).
+/// threads: the pool runs one job at a time, and each call blocks until
+/// its own job completes.
 class InferenceEngine {
  public:
   explicit InferenceEngine(const EngineOptions& options = EngineOptions());
@@ -66,31 +42,21 @@ class InferenceEngine {
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
-  int num_threads() const { return num_threads_; }
-
-  /// Per-worker item/range/steal counters (cumulative across jobs).
-  std::vector<EngineWorkerStats> worker_stats() const;
+  /// Lanes a job may run on, the calling thread included.
+  int num_threads() const;
 
   /// P(match) per pair, in input order. Equivalent to (but faster than)
   /// model.ScoreBatch(pairs) on one thread.
   std::vector<float> Score(const PairwiseModel& model,
                            std::span<const EntityPair> pairs);
 
-  /// Non-blocking admission variant of Score for fan-in servers: when
-  /// `max_queue_depth` jobs are already enqueued, returns
-  /// ResourceExhausted immediately instead of blocking behind them
-  /// (each rejection is counted in `hiergat.engine.admission.rejected`).
-  /// With max_queue_depth == 0 this never rejects and equals Score.
-  StatusOr<std::vector<float>> TryScore(const PairwiseModel& model,
-                                        std::span<const EntityPair> pairs);
-
   /// P/R/F1 over the pairs, scored through the pool.
   EvalResult Evaluate(const PairwiseModel& model,
                       std::span<const EntityPair> pairs);
 
   /// Per-query candidate probabilities; queries are distributed across
-  /// workers (each query's candidate set stays whole — it is the unit
-  /// of collective inference).
+  /// lanes (each query's candidate set stays whole — it is the unit of
+  /// collective inference).
   std::vector<std::vector<float>> ScoreQueries(
       const CollectiveModel& model, std::span<const CollectiveQuery> queries);
 
@@ -99,53 +65,12 @@ class InferenceEngine {
                       std::span<const CollectiveQuery> queries);
 
  private:
-  struct alignas(64) Slot {
-    /// Packed half-open range begin<<32 | end; begin == end means empty.
-    std::atomic<uint64_t> range{0};
-    /// Worker-local activity counters (the thief increments its own
-    /// slot's `steals`); relaxed — read via worker_stats().
-    std::atomic<int64_t> items{0};
-    std::atomic<int64_t> ranges{0};
-    std::atomic<int64_t> steals{0};
-  };
+  /// Runs `process(begin, end)` over chunks of [0, total) on the pool
+  /// and blocks until every item is processed.
+  void RunJob(int total, const std::function<void(int, int)>& process);
 
-  /// Runs `process(begin, end)` over a partition of [0, total) on the
-  /// pool and blocks until every index is processed and all workers are
-  /// idle again. When `reject_if_full` is set and the queue is at
-  /// max_queue_depth, returns false without running anything (the
-  /// TryScore path); otherwise always runs and returns true.
-  bool RunJob(int total, const std::function<void(int, int)>& process,
-              bool reject_if_full = false);
-  void WorkerLoop(int worker_id);
-  int ProcessRanges(int worker_id, const std::function<void(int, int)>& fn);
-
-  int num_threads_;
-  int grain_;
-  int max_queue_depth_;
-  std::vector<Slot> slots_;
-  std::vector<std::thread> threads_;
-
-  /// Serializes RunJob across caller threads; held for a whole job.
-  std::mutex jobs_mutex_;
-
-  /// Admission control (see EngineOptions::max_queue_depth).
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  int queue_depth_ = 0;
-
-  std::mutex mutex_;
-  std::condition_variable cv_;       // Wakes workers on a new job.
-  std::condition_variable done_cv_;  // Wakes the caller on completion.
-  bool shutdown_ = false;
-  uint64_t job_generation_ = 0;
-  std::function<void(int, int)> job_fn_;
-  /// The caller's request context for the in-flight job (same lifecycle
-  /// and locking as job_fn_); workers install it so every span they
-  /// record carries the request's trace id.
-  obs::TraceContext job_context_;
-  int job_total_ = 0;
-  int done_items_ = 0;
-  int active_workers_ = 0;
+  std::unique_ptr<ThreadPool> owned_pool_;  // Null when sharing Global().
+  ThreadPool* pool_;
 };
 
 }  // namespace hiergat

@@ -39,7 +39,7 @@ struct TrainOptions {
 /// Inference API: `ScoreBatch` is the primary entry point — blockers
 /// emit candidate *batches*, and the batch form is what lets a matcher
 /// amortize per-entity work (see HierGatModel's summary cache) and the
-/// InferenceEngine spread ranges across worker threads. Scoring is
+/// InferenceEngine spread ranges across threads. Scoring is
 /// const: inference never mutates the model, so concurrent ScoreBatch
 /// calls on one trained model are safe. `PredictProbability` remains as
 /// a thin convenience wrapper for one-off pairs; hand-rolled per-pair
@@ -87,8 +87,8 @@ class PairwiseModel {
   /// Serializes the trained model (config + weights) to a versioned
   /// binary checkpoint at `path`, and restores it for load-and-serve
   /// inference without retraining (see src/core/serialize.h and
-  /// LoadMatcher in er/er.h). Models without checkpoint support keep
-  /// these defaults, which report FailedPrecondition.
+  /// Session::Open in er/session.h). Models without checkpoint support
+  /// keep these defaults, which report FailedPrecondition.
   virtual Status Save(const std::string& path) const {
     (void)path;
     return Status::FailedPrecondition(name() +

@@ -1,30 +1,119 @@
 #include "er/session.h"
 
+#include <algorithm>
+#include <cctype>
 #include <utility>
 
 #include "core/logging.h"
-#include "er/er.h"
+#include "core/serialize.h"
+#include "er/baselines/deepmatcher.h"
+#include "er/baselines/ditto.h"
+#include "er/baselines/gnn.h"
+#include "er/baselines/magellan.h"
+#include "er/hiergat.h"
+#include "er/hiergat_plus.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 
 namespace hiergat {
 
+namespace {
+
+std::string Lower(const std::string& s) {
+  std::string out = s;
+  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
+    return static_cast<char>(std::tolower(c));
+  });
+  return out;
+}
+
+/// An untrained pairwise matcher named by `options.matcher`: "hiergat",
+/// "ditto", "deepmatcher" (alias "dm"), "dm+", or "magellan"
+/// (case-insensitive). Null for unknown names.
+std::unique_ptr<PairwiseModel> NewPairwiseModel(
+    const SessionOptions& options) {
+  const std::string key = Lower(options.matcher);
+  if (key == "hiergat") {
+    HierGatConfig config;
+    config.lm_size = options.lm_size;
+    if (options.lm_pretrain_steps >= 0) {
+      config.lm_pretrain_steps = options.lm_pretrain_steps;
+    }
+    return std::make_unique<HierGatModel>(config);
+  }
+  if (key == "ditto") {
+    DittoConfig config;
+    config.lm_size = options.lm_size;
+    if (options.lm_pretrain_steps >= 0) {
+      config.lm_pretrain_steps = options.lm_pretrain_steps;
+    }
+    return std::make_unique<DittoModel>(config);
+  }
+  if (key == "deepmatcher" || key == "dm") {
+    return std::make_unique<DeepMatcherModel>();
+  }
+  if (key == "dm+" || key == "dmplus") {
+    return std::make_unique<DmPlusModel>();
+  }
+  if (key == "magellan") {
+    return std::make_unique<MagellanModel>();
+  }
+  return nullptr;
+}
+
+/// An untrained collective matcher named by `options.matcher`:
+/// "hiergat+", "gcn", "gat", or "hgat" (case-insensitive). Null for
+/// unknown names.
+std::unique_ptr<CollectiveModel> NewCollectiveModel(
+    const SessionOptions& options) {
+  const std::string key = Lower(options.matcher);
+  if (key == "hiergat+" || key == "hiergatplus") {
+    HierGatPlusConfig config;
+    config.lm_size = options.lm_size;
+    if (options.lm_pretrain_steps >= 0) {
+      config.lm_pretrain_steps = options.lm_pretrain_steps;
+    }
+    return std::make_unique<HierGatPlusModel>(config);
+  }
+  if (key == "gcn") return std::make_unique<GcnCollectiveModel>();
+  if (key == "gat") return std::make_unique<GatCollectiveModel>();
+  if (key == "hgat") return std::make_unique<HgatCollectiveModel>();
+  return nullptr;
+}
+
+/// Restores a trained `Concrete` model, whose checkpoint tag is `tag`,
+/// from `path`. The tag is peeked first, so a wrong-family file reports
+/// "not a known <kind> matcher" instead of a confusing tag mismatch
+/// from the wrong Load.
+template <typename Model, typename Concrete>
+StatusOr<std::unique_ptr<Model>> LoadModel(const std::string& path,
+                                           const char* tag, const char* kind) {
+  auto reader_or = TensorReader::Open(path);
+  HG_RETURN_IF_ERROR(reader_or.status());
+  const std::string found = reader_or.value().model_tag();
+  if (found != tag) {
+    return Status::InvalidArgument("checkpoint tag '" + found +
+                                   "' is not a known " + kind + " matcher");
+  }
+  std::unique_ptr<Model> model = std::make_unique<Concrete>();
+  HG_RETURN_IF_ERROR(model->Load(path));
+  return StatusOr<std::unique_ptr<Model>>(std::move(model));
+}
+
+}  // namespace
+
 StatusOr<std::unique_ptr<Session>> Session::Open(
     const SessionOptions& options) {
   std::unique_ptr<Session> session(new Session());
 
-  MatcherOptions matcher_options;
-  matcher_options.lm_size = options.lm_size;
-  matcher_options.lm_pretrain_steps = options.lm_pretrain_steps;
-
   if (options.collective) {
     if (!options.checkpoint_path.empty()) {
-      auto model_or = LoadCollectiveMatcher(options.checkpoint_path);
+      auto model_or = LoadModel<CollectiveModel, HierGatPlusModel>(
+          options.checkpoint_path, "HierGAT+", "collective");
       HG_RETURN_IF_ERROR(model_or.status());
       session->collective_model_ = std::move(model_or).value();
     } else {
-      session->collective_model_ =
-          MakeCollectiveMatcher(options.matcher, matcher_options);
+      session->collective_model_ = NewCollectiveModel(options);
       if (session->collective_model_ == nullptr) {
         return Status::InvalidArgument("unknown collective matcher '" +
                                        options.matcher + "'");
@@ -41,11 +130,12 @@ StatusOr<std::unique_ptr<Session>> Session::Open(
     }
   } else {
     if (!options.checkpoint_path.empty()) {
-      auto model_or = LoadMatcher(options.checkpoint_path);
+      auto model_or = LoadModel<PairwiseModel, HierGatModel>(
+          options.checkpoint_path, "HierGAT", "pairwise");
       HG_RETURN_IF_ERROR(model_or.status());
       session->pairwise_model_ = std::move(model_or).value();
     } else {
-      session->pairwise_model_ = MakeMatcher(options.matcher, matcher_options);
+      session->pairwise_model_ = NewPairwiseModel(options);
       if (session->pairwise_model_ == nullptr) {
         return Status::InvalidArgument("unknown pairwise matcher '" +
                                        options.matcher + "'");

@@ -15,30 +15,27 @@
 
 namespace hiergat {
 
-struct MatcherOptions;  // er/er.h
-
 /// Everything needed to stand up a ready-to-serve matcher, in one
-/// struct. Session::Open consolidates what used to take four separate
-/// entry points (MakeMatcher / MakeCollectiveMatcher / LoadMatcher /
-/// LoadCollectiveMatcher plus a hand-built InferenceEngine) behind a
-/// single call.
+/// struct. Session::Open is the one way to build or load a model.
 struct SessionOptions {
-  /// Matcher name for a fresh model ("hiergat", "ditto", "hiergat+",
-  /// ... — see MakeMatcher / MakeCollectiveMatcher). Ignored when
+  /// Matcher name for a fresh model, case-insensitive. Pairwise:
+  /// "hiergat", "ditto", "deepmatcher" (alias "dm"), "dm+", "magellan".
+  /// Collective: "hiergat+", "gcn", "gat", "hgat". Ignored when
   /// `checkpoint_path` is set: the checkpoint's embedded tag picks the
-  /// model type.
+  /// model type ("HierGAT" pairwise, "HierGAT+" collective).
   std::string matcher = "hiergat";
   /// Collective (query + candidate set) vs pairwise matching.
   bool collective = false;
   /// When non-empty, Open restores a trained model from this
   /// checkpoint instead of constructing an untrained one.
   std::string checkpoint_path;
-  /// Backbone size / pre-training overrides for fresh models; see
-  /// MatcherOptions in er/er.h.
+  /// Backbone size for fresh LM-backed matchers, and their masked-LM
+  /// pre-training steps (negative keeps each model's own default).
+  /// Other model hyper-parameters keep their defaults.
   LmSize lm_size = LmSize::kMedium;
   int lm_pretrain_steps = -1;
 
-  /// Inference-engine knobs (worker threads, grain, admission cap).
+  /// Inference-engine lanes (see EngineOptions).
   EngineOptions engine;
   /// Re-caps the model's entity-summary cache; 0 keeps the model
   /// default (SummaryCache::kDefaultMaxEntries).
@@ -65,8 +62,8 @@ struct SessionOptions {
 ///   std::vector<float> probs = session_or.value()->Score(pairs);
 ///
 /// A Session owns its model and engine; scoring entry points route
-/// through the engine's worker pool, so concurrent calls from several
-/// caller threads are safe (jobs serialize; see InferenceEngine).
+/// through the engine, so concurrent calls from several caller threads
+/// are safe (jobs serialize; see InferenceEngine).
 class Session {
  public:
   /// Builds (or, with `checkpoint_path`, loads) the model, applies the

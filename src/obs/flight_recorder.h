@@ -12,10 +12,10 @@ namespace obs {
 /// What a flight-recorder event describes. Keep this list in sync with
 /// FlightEventKindName() — the names appear in crash dumps.
 enum class FlightEventKind : int32_t {
-  kJobEnqueue = 1,    ///< Engine job admitted; a = items, b = queue depth.
+  kJobEnqueue = 1,    ///< Engine job submitted; a = items, b = grain.
   kJobStart = 2,      ///< Engine job began executing; a = items.
   kJobDone = 3,       ///< Engine job finished; a = items.
-  kQueueLimitWait = 4,  ///< Caller blocked on max_queue_depth; a = depth.
+  // 4 is retired (engine queue-limit wait); values are never renumbered.
   kCacheEviction = 5,   ///< Summary-cache flush; a = evicted, b = size after.
   kGraphCompile = 6,    ///< Scoring graph captured; a = key (e.g. length).
   kGraphCaptureFail = 7,  ///< Capture hit an unsupported op; eager fallback.

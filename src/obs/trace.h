@@ -16,10 +16,10 @@ namespace obs {
 /// Request-scoped trace identity: a trace id naming one logical request
 /// (one Session::Score / ScoreBatch call) plus the span id of the
 /// request's root span. The context lives in a thread-local slot and is
-/// copied — not shared — across thread hops: the engine hands it to its
-/// workers with each job, the ThreadPool hands it to chunk runners with
-/// each task, and compiled-graph replay inherits whatever the executing
-/// thread carries. Every completed span is stamped with the current
+/// copied — not shared — across thread hops: the ThreadPool hands it to
+/// chunk runners with each task (engine jobs included), and
+/// compiled-graph replay inherits whatever the executing thread
+/// carries. Every completed span is stamped with the current
 /// trace id, so a Perfetto trace groups engine-job, threadpool-chunk,
 /// and graph-node spans under one per-request id instead of showing
 /// disconnected per-thread tracks.
@@ -37,8 +37,8 @@ TraceContext CurrentTraceContext();
 TraceContext NewTraceContext();
 
 /// RAII: installs `context` on this thread, restoring the previous
-/// context on destruction. Used at every thread hop (engine workers,
-/// threadpool chunk runners) to re-home the dispatcher's context.
+/// context on destruction. Used at every thread hop (threadpool chunk
+/// runners) to re-home the dispatcher's context.
 class ScopedTraceContext {
  public:
   explicit ScopedTraceContext(TraceContext context);

@@ -181,15 +181,22 @@ inline float DotQ8(int n, const float* x, const q8::Block* blocks) {
 
 // -- Intra-op parallel wrappers ------------------------------------------
 //
-// Same row-partitioning policy as kernels::Parallel* (identical serial
-// thresholds and chunk grains, so results stay bit-identical at any
-// thread count), but each chunk dispatches through the active table.
+// Row-partitioned versions of the forward kernels, dispatched over a
+// persistent ThreadPool (tensor/threadpool.h); each chunk runs the
+// active table's kernel. A wrapper runs the serial kernel when `pool`
+// is null, the pool has one lane, the call is nested inside another
+// ParallelFor chunk, or the problem is below the parallel threshold —
+// callers can use them unconditionally. Chunk boundaries depend only
+// on the shape, so results are bit-identical at any thread count.
 
 void ParallelGemmNN(ThreadPool* pool, int m, int n, int k, float alpha,
                     const float* a, const float* b, float* c);
 void ParallelGemmNT(ThreadPool* pool, int m, int n, int k, float alpha,
                     const float* a, const float* b, float* c);
-/// Runs serial for the same strided-A reason as kernels::ParallelGemmTN.
+/// Runs serial: the transposed-A layout has leading dimension m, so a
+/// row block of C is a *strided* column block of A that the dense
+/// kernel cannot address. TN only appears on backward passes, which
+/// run under autograd rather than the compiled replay path.
 void ParallelGemmTN(ThreadPool* pool, int m, int n, int k, float alpha,
                     const float* a, const float* b, float* c);
 void ParallelSoftmaxRows(ThreadPool* pool, int rows, int cols,

@@ -17,12 +17,10 @@ namespace {
 // idle pool parks within tens of microseconds.
 constexpr int kSpinIterations = 2048;
 
-// True while this thread is executing a ParallelFor chunk; a nested
-// ParallelFor from inside a kernel runs inline instead of deadlocking
-// on the single-task pool.
+// True while this thread is executing a ParallelFor chunk of any pool;
+// a nested ParallelFor from inside a kernel runs inline instead of
+// deadlocking on the single-task pool or oversubscribing the cores.
 thread_local bool tls_in_chunk = false;
-
-thread_local int tls_parallelism_ban = 0;
 
 obs::Counter& Tasks() {
   static obs::Counter& counter =
@@ -41,11 +39,6 @@ obs::Counter& Parks() {
 }
 
 }  // namespace
-
-bool ParallelismBanned() { return tls_parallelism_ban > 0; }
-
-ScopedParallelismBan::ScopedParallelismBan() { ++tls_parallelism_ban; }
-ScopedParallelismBan::~ScopedParallelismBan() { --tls_parallelism_ban; }
 
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
@@ -141,8 +134,7 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
                              const std::function<void(int64_t, int64_t)>& fn) {
   if (end <= begin) return;
   grain = std::max<int64_t>(1, grain);
-  if (workers_.empty() || end - begin <= grain || ParallelismBanned() ||
-      tls_in_chunk) {
+  if (workers_.empty() || end - begin <= grain || tls_in_chunk) {
     fn(begin, end);
     return;
   }

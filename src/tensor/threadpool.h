@@ -14,8 +14,9 @@
 
 namespace hiergat {
 
-/// Persistent intra-op worker pool for the chunked row-parallel kernels
-/// (kernels::ParallelGemmNN etc.) and compiled-graph replay. Workers are
+/// Persistent worker pool for the chunked row-parallel kernels
+/// (backend::ParallelGemmNN etc.), compiled-graph replay and the
+/// InferenceEngine's per-job fan-out. Workers are
 /// started once and live for the pool's lifetime: a dispatch is one
 /// atomic epoch bump plus (when a worker has parked) one condvar
 /// notify, not a thread spawn. Workers spin briefly between tasks
@@ -54,10 +55,10 @@ class ThreadPool {
   /// chunks of `grain` iterations, blocking until every chunk is done.
   /// The caller executes chunks alongside the workers. Runs inline
   /// (one fn(begin, end) call) when the pool has no workers, the range
-  /// fits in one chunk, parallelism is banned on this thread (see
-  /// ScopedParallelismBan), or the call is nested inside another
-  /// ParallelFor chunk. Concurrent callers are serialized: the pool
-  /// executes one task at a time.
+  /// fits in one chunk, or the call is nested inside another ParallelFor
+  /// chunk (of any pool) — so kernels inside an engine chunk stay serial
+  /// instead of oversubscribing the lanes. Concurrent callers are
+  /// serialized: the pool executes one task at a time.
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                    const std::function<void(int64_t, int64_t)>& fn);
 
@@ -99,23 +100,6 @@ class ThreadPool {
   std::mutex wake_mutex_;  // Guards parking only.
   std::condition_variable wake_cv_;
   std::vector<std::thread> workers_;
-};
-
-/// True while intra-op parallelism is banned on the calling thread:
-/// ParallelFor runs inline and the parallel kernels stay serial. The
-/// InferenceEngine installs the ban on its workers when it runs more
-/// than one of them — inter-job parallelism already owns the cores, and
-/// nested fan-out would just thrash a fixed thread budget.
-bool ParallelismBanned();
-
-/// RAII scope that bans intra-op parallelism on this thread (counted,
-/// so scopes nest).
-class ScopedParallelismBan {
- public:
-  ScopedParallelismBan();
-  ~ScopedParallelismBan();
-  ScopedParallelismBan(const ScopedParallelismBan&) = delete;
-  ScopedParallelismBan& operator=(const ScopedParallelismBan&) = delete;
 };
 
 }  // namespace hiergat

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -16,6 +19,7 @@
 #include "er/engine.h"
 #include "er/hiergat.h"
 #include "er/summary_cache.h"
+#include "nn/introspection.h"
 #include "obs/metrics.h"
 #include "tensor/ops.h"
 
@@ -212,7 +216,6 @@ TEST_F(EngineParityTest, ThreadCountInvariantAcrossModels) {
     for (int threads : {1, 4}) {
       EngineOptions options;
       options.num_threads = threads;
-      options.min_grain = 2;
       InferenceEngine engine(options);
       const std::vector<float> batched = engine.Score(*model, pairs);
       ExpectBitIdentical(sequential, batched);
@@ -295,7 +298,7 @@ TEST_F(EngineParityTest, HandlesEmptyAndTinyBatches) {
 }
 
 TEST_F(EngineParityTest, EngineIsReusableAcrossCallsAndModels) {
-  InferenceEngine engine(EngineOptions{.num_threads = 2, .min_grain = 1});
+  InferenceEngine engine(EngineOptions{.num_threads = 2});
   const std::span<const EntityPair> pairs(data_->test.data(), 8);
   const std::vector<float> a = engine.Score(*hiergat_, pairs);
   const std::vector<float> b = engine.Score(*magellan_, pairs);
@@ -305,11 +308,11 @@ TEST_F(EngineParityTest, EngineIsReusableAcrossCallsAndModels) {
 }
 
 TEST_F(EngineParityTest, RepeatedTinyJobsToleratStragglerWorkers) {
-  // Regression: with more workers than items, most workers sleep
-  // through each short job; a straggler waking after RunJob returned
-  // must not copy a null job_fn_ or claim ranges of the next job.
-  // Many back-to-back tiny jobs make that interleaving likely.
-  InferenceEngine engine(EngineOptions{.num_threads = 8, .min_grain = 1});
+  // Regression: with more lanes than items, most workers sleep through
+  // each short job; a straggler waking after the job returned must not
+  // claim chunks of the next one. Many back-to-back tiny jobs make that
+  // interleaving likely.
+  InferenceEngine engine(EngineOptions{.num_threads = 8});
   const std::span<const EntityPair> two(data_->test.data(), 2);
   const float p0 = magellan_->PredictProbability(data_->test[0]);
   const float p1 = magellan_->PredictProbability(data_->test[1]);
@@ -360,13 +363,12 @@ TEST_F(EngineParityTest, CompileScoringGraphAheadOfTime) {
 }
 
 TEST_F(EngineParityTest, ConcurrentCompiledScoringIsThreadSafe) {
-  // Several engine workers replay the same shared compiled graphs; run
+  // Several engine lanes replay the same shared compiled graphs; run
   // under TSan (engine label) this is the data-race canary for the
   // capture/replay layer.
   hiergat_->InvalidateInferenceCache();
   EngineOptions options;
   options.num_threads = 4;
-  options.min_grain = 2;
   InferenceEngine engine(options);
   const std::vector<float> sequential =
       SequentialScores(*hiergat_, data_->test);
@@ -376,16 +378,15 @@ TEST_F(EngineParityTest, ConcurrentCompiledScoringIsThreadSafe) {
   }
 }
 
-TEST_F(EngineParityTest, QueueDepthLimitAdmitsAndCompletesAllJobs) {
+TEST_F(EngineParityTest, ConcurrentCallersGetBitIdenticalResults) {
   EngineOptions options;
   options.num_threads = 2;
-  options.max_queue_depth = 1;
   InferenceEngine engine(options);
   const std::span<const EntityPair> pairs(data_->test.data(), 8);
   const std::vector<float> baseline = engine.Score(*magellan_, pairs);
 
-  // Four caller threads contend for a queue that admits one job at a
-  // time; every job must still complete with identical results.
+  // Four caller threads share one engine; every job must complete with
+  // identical results.
   std::vector<std::thread> callers;
   std::vector<std::vector<float>> results(4);
   for (int t = 0; t < 4; ++t) {
@@ -401,55 +402,71 @@ TEST_F(EngineParityTest, QueueDepthLimitAdmitsAndCompletesAllJobs) {
   }
 }
 
-TEST_F(EngineParityTest, TryScoreRejectsWhenQueueFullAndCountsShed) {
-  // A model whose ScoreBatch blocks until released, so the test can pin
-  // the engine's queue at max_queue_depth deterministically.
-  class BlockingModel : public PairwiseModel {
-   public:
-    std::string name() const override { return "blocking"; }
-    void Train(const PairDataset&, const TrainOptions&) override {}
-    float ScorePair(const EntityPair&) const override { return 0.5f; }
-    std::vector<float> ScoreBatch(
-        std::span<const EntityPair> pairs) const override {
-      started_.store(true);
-      while (!release_.load()) std::this_thread::yield();
-      return std::vector<float>(pairs.size(), 0.5f);
+/// Records which threads score and whether they record attention. With
+/// `await_fan_out`, each ScoreBatch call holds until a second thread has
+/// joined (or a deadline passes), so a job that fans out is seen to fan
+/// out however the threads are scheduled.
+class ThreadProbeModel : public PairwiseModel {
+ public:
+  explicit ThreadProbeModel(bool await_fan_out)
+      : await_fan_out_(await_fan_out) {}
+  std::string name() const override { return "thread-probe"; }
+  void Train(const PairDataset&, const TrainOptions&) override {}
+  std::vector<float> ScoreBatch(
+      std::span<const EntityPair> pairs) const override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    threads_.insert(std::this_thread::get_id());
+    if (AttentionRecordingEnabled()) recorded_attention_ = true;
+    cv_.notify_all();
+    if (await_fan_out_) {
+      cv_.wait_for(lock, std::chrono::seconds(5),
+                   [&] { return threads_.size() > 1; });
     }
-    mutable std::atomic<bool> started_{false};
-    mutable std::atomic<bool> release_{false};
-  };
+    return std::vector<float>(pairs.size(), 0.5f);
+  }
+  size_t num_threads() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return threads_.size();
+  }
+  bool recorded_attention() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return recorded_attention_;
+  }
 
-  EngineOptions options;
-  options.num_threads = 2;
-  options.max_queue_depth = 1;
-  InferenceEngine engine(options);
-  const std::span<const EntityPair> pairs(data_->test.data(), 4);
+ protected:
+  float ScorePair(const EntityPair&) const override { return 0.5f; }
 
-  obs::Counter& rejected = obs::MetricsRegistry::Global().GetCounter(
-      "hiergat.engine.admission.rejected");
-  const int64_t rejected_before = rejected.Value();
+ private:
+  const bool await_fan_out_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable std::set<std::thread::id> threads_;
+  mutable bool recorded_attention_ = false;
+};
 
-  BlockingModel blocking;
-  std::thread occupant([&] { engine.Score(blocking, pairs); });
-  while (!blocking.started_.load()) std::this_thread::yield();
+TEST(EngineGrainTest, SmallJobFansOutAcrossLanes) {
+  // Fewer than 4 items per lane: the grain shrinks with the job so a
+  // small serve batch still spreads over the lanes instead of running
+  // as one batch on the calling thread.
+  InferenceEngine engine(EngineOptions{.num_threads = 4});
+  ThreadProbeModel model(/*await_fan_out=*/true);
+  const std::vector<EntityPair> pairs(3);
+  const std::vector<float> scores = engine.Score(model, pairs);
+  ASSERT_EQ(scores.size(), pairs.size());
+  EXPECT_GT(model.num_threads(), 1u);
+}
 
-  // Queue is at capacity (the blocked job holds the only slot):
-  // TryScore must shed immediately instead of blocking behind it.
-  const StatusOr<std::vector<float>> shed = engine.TryScore(*magellan_, pairs);
-  ASSERT_FALSE(shed.ok());
-  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted)
-      << shed.status().ToString();
-  EXPECT_EQ(rejected.Value(), rejected_before + 1);
-
-  blocking.release_.store(true);
-  occupant.join();
-
-  // Idle queue: TryScore admits and matches the blocking Score path.
-  const StatusOr<std::vector<float>> scored =
-      engine.TryScore(*magellan_, pairs);
-  ASSERT_TRUE(scored.ok()) << scored.status().ToString();
-  ExpectBitIdentical(engine.Score(*magellan_, pairs), scored.value());
-  EXPECT_EQ(rejected.Value(), rejected_before + 1);
+TEST(EngineGrainTest, CallerKeepsAttentionRecording) {
+  // The calling thread runs chunks too; each chunk turns attention
+  // recording off and must hand the caller its setting back.
+  InferenceEngine engine(EngineOptions{.num_threads = 4});
+  ThreadProbeModel model(/*await_fan_out=*/false);
+  ASSERT_TRUE(AttentionRecordingEnabled());
+  (void)engine.Score(model, std::vector<EntityPair>(1));
+  EXPECT_TRUE(AttentionRecordingEnabled());
+  (void)engine.Score(model, std::vector<EntityPair>(64));
+  EXPECT_TRUE(AttentionRecordingEnabled());
+  EXPECT_FALSE(model.recorded_attention());
 }
 
 TEST_F(EngineParityTest, PairwiseAsCollectiveRoutesThroughBatchPath) {

@@ -24,6 +24,15 @@ std::string FixturePath(const char* name) {
   return std::string(HIERGAT_FIXTURE_DIR) + "/" + name;
 }
 
+/// Loads a golden checkpoint the way applications do.
+StatusOr<std::unique_ptr<Session>> OpenFixture(const char* checkpoint,
+                                               bool collective = false) {
+  SessionOptions options;
+  options.checkpoint_path = FixturePath(checkpoint);
+  options.collective = collective;
+  return Session::Open(options);
+}
+
 std::string TempPath(const char* name) {
   return ::testing::TempDir() + name;
 }
@@ -45,9 +54,9 @@ void ExpectScoresNear(const std::vector<float>& actual,
 }
 
 TEST(GoldenTest, HierGatFixtureReproducesScores) {
-  auto model_or = LoadMatcher(FixturePath(golden::kHierGatCheckpoint));
-  ASSERT_TRUE(model_or.ok()) << model_or.status().ToString();
-  const std::unique_ptr<PairwiseModel>& model = model_or.value();
+  auto session_or = OpenFixture(golden::kHierGatCheckpoint);
+  ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
+  const PairwiseModel* model = session_or.value()->model();
   EXPECT_EQ(model->name(), "HierGAT");
 
   const PairDataset data = golden::MakePairDataset();
@@ -61,10 +70,10 @@ TEST(GoldenTest, HierGatFixtureReproducesScores) {
 }
 
 TEST(GoldenTest, HierGatPlusFixtureReproducesScores) {
-  auto model_or =
-      LoadCollectiveMatcher(FixturePath(golden::kHierGatPlusCheckpoint));
-  ASSERT_TRUE(model_or.ok()) << model_or.status().ToString();
-  const std::unique_ptr<CollectiveModel>& model = model_or.value();
+  auto session_or =
+      OpenFixture(golden::kHierGatPlusCheckpoint, /*collective=*/true);
+  ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
+  const CollectiveModel* model = session_or.value()->collective_model();
   EXPECT_EQ(model->name(), "HierGAT+");
 
   const CollectiveDataset data = golden::MakeCollectiveDataset();
@@ -258,14 +267,13 @@ TEST(GoldenTest, QuantizedHierGatPlusSaveLoadSaveIsByteStable) {
 }
 
 TEST(GoldenTest, CheckpointTagDispatchRejectsWrongFamily) {
-  auto pairwise_or =
-      LoadMatcher(FixturePath(golden::kHierGatPlusCheckpoint));
+  auto pairwise_or = OpenFixture(golden::kHierGatPlusCheckpoint);
   ASSERT_FALSE(pairwise_or.ok());
   EXPECT_NE(pairwise_or.status().message().find("HierGAT+"),
             std::string::npos);
 
   auto collective_or =
-      LoadCollectiveMatcher(FixturePath(golden::kHierGatCheckpoint));
+      OpenFixture(golden::kHierGatCheckpoint, /*collective=*/true);
   ASSERT_FALSE(collective_or.ok());
 }
 
@@ -282,14 +290,12 @@ TEST(GoldenTest, CheckpointMetricsAreEmitted) {
 // cache must actually serve hits. This test carries the `golden` label
 // and runs under the tsan preset too.
 TEST(GoldenTest, TwoEnginesFourThreadsAgreeAndHitTheCache) {
-  auto model_a_or = LoadMatcher(FixturePath(golden::kHierGatCheckpoint));
-  auto model_b_or = LoadMatcher(FixturePath(golden::kHierGatCheckpoint));
-  ASSERT_TRUE(model_a_or.ok());
-  ASSERT_TRUE(model_b_or.ok());
-  auto* model_a =
-      dynamic_cast<HierGatModel*>(model_a_or.value().get());
-  auto* model_b =
-      dynamic_cast<HierGatModel*>(model_b_or.value().get());
+  auto session_a_or = OpenFixture(golden::kHierGatCheckpoint);
+  auto session_b_or = OpenFixture(golden::kHierGatCheckpoint);
+  ASSERT_TRUE(session_a_or.ok());
+  ASSERT_TRUE(session_b_or.ok());
+  auto* model_a = dynamic_cast<HierGatModel*>(session_a_or.value()->model());
+  auto* model_b = dynamic_cast<HierGatModel*>(session_b_or.value()->model());
   ASSERT_NE(model_a, nullptr);
   ASSERT_NE(model_b, nullptr);
 

@@ -101,27 +101,6 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   EXPECT_EQ(total.load(), 8 * 100);
 }
 
-TEST(ThreadPoolTest, ScopedBanForcesInline) {
-  ThreadPool pool(4);
-  EXPECT_FALSE(ParallelismBanned());
-  {
-    ScopedParallelismBan ban;
-    EXPECT_TRUE(ParallelismBanned());
-    {
-      ScopedParallelismBan nested;  // Counted: scopes nest.
-      EXPECT_TRUE(ParallelismBanned());
-    }
-    EXPECT_TRUE(ParallelismBanned());
-    std::vector<int> calls;  // Unguarded: inline means single-threaded.
-    pool.ParallelFor(0, 1000, 10, [&](int64_t b, int64_t e) {
-      calls.push_back(static_cast<int>(e - b));
-    });
-    ASSERT_EQ(calls.size(), 1u);
-    EXPECT_EQ(calls[0], 1000);
-  }
-  EXPECT_FALSE(ParallelismBanned());
-}
-
 TEST(ThreadPoolTest, ConcurrentDispatchersSerialize) {
   // Several threads hammer the same pool; every dispatch must complete
   // with its own full coverage. TSan-checked via the `tsan` preset.

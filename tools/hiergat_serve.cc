@@ -44,7 +44,7 @@ void HandleShutdownSignal(int) {
 struct Flags {
   std::string host = "127.0.0.1";
   int port = 7071;
-  int threads = 0;  // 0 = hardware concurrency.
+  int threads = 0;  // 0 = the shared global pool.
   int max_batch_size = 32;
   int max_delay_us = 1000;
   int max_pending_pairs = 8192;
@@ -65,13 +65,14 @@ void PrintUsage(const char* argv0) {
       "  --model_dir=DIR        publish every *.ckpt in DIR (name = stem)\n"
       "  --host=ADDR            bind address         (default 127.0.0.1)\n"
       "  --port=N               TCP port, 0=ephemeral (default 7071)\n"
-      "  --threads=N            engine workers/model, 0=auto (default 0)\n"
+      "  --threads=N            engine lanes/model, 0=shared (default 0)\n"
       "  --max_batch_size=N     pairs per coalesced batch (default 32)\n"
       "  --max_delay_us=N       batch hold time in usec  (default 1000)\n"
       "  --max_pending_pairs=N  admission cap, 0=off     (default 8192)\n"
       "  --max_per_connection=N per-conn in-flight cap   (default 64)\n"
       "  --quantize             serve Q8_0-quantized weights\n"
-      "  --trace_out=PATH       write a Chrome trace on shutdown\n");
+      "  --trace_out=PATH       write a Chrome trace on shutdown\n",
+      argv0);
 }
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {

@@ -2,9 +2,11 @@
 // fused Linear, row-softmax, row-layernorm) at HierGAT-realistic shapes
 // (token sequences of a few dozen rows, feature dims d in {64,128,256}),
 // plus a head-to-head of the blocked SGEMM kernel against the seed
-// i-k-j scalar loop it replaced. Emits hiergat-bench-v1 JSON via
-// --json_out=PATH (validated by tools/check_bench_json.py).
+// i-k-j scalar loop it replaced and a 1..8-row GEMM sweep that exposes
+// any per-row-count cliff in the register tile. Emits hiergat-bench-v1
+// JSON via --json_out=PATH (validated by tools/check_bench_json.py).
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <cstdio>
@@ -135,6 +137,41 @@ int main_impl(int argc, char** argv) {
     result.AddMetric(std::string("gemm128.") + variant + "_us", p50 * 1e6);
   }
   table.AddSeparator();
+
+  // -- Row sweep at the scorer's tiny-M shapes ------------------------
+  // Attribute values average ~5 tokens, so most scoring GEMMs have 1-11
+  // rows. [m,32]x[32,64] for m = 1..8 through the active backend, in ns
+  // per call. Each 4-row block is one register tile, so ns(m) should
+  // track ceil(m/4) * ns(4); cliff_ratio is the worst per-block cost over
+  // ns(4) and reads ~1 when no row count falls off the tile path.
+  {
+    const int kK = 32, kN = 64, kMaxRows = 8;
+    const int calls = 256;
+    std::vector<float> ra(static_cast<size_t>(kMaxRows) * kK);
+    std::vector<float> rb(static_cast<size_t>(kK) * kN);
+    std::vector<float> rc(static_cast<size_t>(kMaxRows) * kN, 0.0f);
+    for (float& v : ra) v = rng.NextGaussian();
+    for (float& v : rb) v = rng.NextGaussian();
+    std::vector<double> row_ns(kMaxRows + 1, 0.0);
+    for (int m = 1; m <= kMaxRows; ++m) {
+      const std::vector<double> times = TimeReps(reps, [&] {
+        for (int i = 0; i < calls; ++i)
+          backend::GemmNN(m, kN, kK, 1.0f, ra.data(), rb.data(), rc.data());
+      });
+      row_ns[m] = bench::PercentileOf(times, 0.5) / calls * 1e9;
+      table.AddRow({"gemm rows",
+                    "[" + std::to_string(m) + ",32]x[32,64]",
+                    bench::Fmt(row_ns[m] * 1e-3, 3),
+                    bench::Fmt(Flops(m, kN, kK) / row_ns[m], 2)});
+      result.AddMetric("gemm_rows.m" + std::to_string(m) + "_ns", row_ns[m]);
+    }
+    double worst_block_ns = 0.0;
+    for (int m = 1; m <= kMaxRows; ++m) {
+      worst_block_ns = std::max(worst_block_ns, row_ns[m] / ((m + 3) / 4));
+    }
+    result.AddMetric("gemm_rows.cliff_ratio", worst_block_ns / row_ns[4]);
+    table.AddSeparator();
+  }
 
   // -- Q8_0 quantized weights vs f32 at the same shape ----------------
   // The same [128,128] weight matrix, block-quantized (core/quant.h):

@@ -139,6 +139,17 @@ struct CompiledGraph::Impl {
   PlanStats stats;
   std::vector<PlannedValue> plan;
   std::vector<NodeCost> node_costs;
+
+  /// One op name's share of a replay: how many nodes carry the name and
+  /// their summed static costs. Run adds each row once per replay, so
+  /// the process-global counters see one RMW per op name, not per node.
+  struct OpTotals {
+    NodeCounters* counters = nullptr;
+    int64_t replays = 0;
+    int64_t flops = 0;
+    int64_t bytes = 0;
+  };
+  std::vector<OpTotals> op_totals;
 };
 
 namespace {
@@ -347,6 +358,17 @@ void PlanGraph(Impl* g) {
     g->node_costs.push_back({node.name, node.flops, node.bytes});
     g->stats.est_flops += node.flops;
     g->stats.est_bytes += node.bytes;
+
+    auto totals = std::find_if(
+        g->op_totals.begin(), g->op_totals.end(),
+        [&](const Impl::OpTotals& t) { return t.counters == node.counters; });
+    if (totals == g->op_totals.end()) {
+      totals = g->op_totals.insert(g->op_totals.end(),
+                                   Impl::OpTotals{node.counters, 0, 0, 0});
+    }
+    totals->replays += 1;
+    totals->flops += node.flops;
+    totals->bytes += node.bytes;
   }
 
   g->stats.num_nodes = num_nodes;
@@ -449,8 +471,9 @@ void CompiledGraph::Run(const float* const* inputs, float* const* outputs,
   std::vector<float*> scratch(g.max_node_scratch);
 #if !defined(HIERGAT_NO_TRACING)
   // Per-node wall time is sampled only while a trace is being recorded;
-  // the untraced replay path costs one relaxed load plus three counter
-  // adds per node. HIERGAT_NO_TRACING compiles the sampling out.
+  // untraced, the node loop touches no shared state (the per-op counters
+  // are added once per replay below). HIERGAT_NO_TRACING compiles the
+  // sampling out.
   const bool tracing = obs::TraceRecorder::Global().enabled();
   const uint64_t trace_id =
       tracing ? obs::CurrentTraceContext().trace_id : 0;
@@ -480,9 +503,11 @@ void CompiledGraph::Run(const float* const* inputs, float* const* outputs,
 #else
     node.fn(in.data(), scratch.data(), out, pool);
 #endif
-    node.counters->replays->Increment();
-    node.counters->est_flops->Increment(node.flops);
-    node.counters->est_bytes->Increment(node.bytes);
+  }
+  for (const Impl::OpTotals& totals : g.op_totals) {
+    totals.counters->replays->Increment(totals.replays);
+    totals.counters->est_flops->Increment(totals.flops);
+    totals.counters->est_bytes->Increment(totals.bytes);
   }
 
   for (size_t i = 0; i < g.output_ids.size(); ++i) {

@@ -68,11 +68,15 @@ struct GemmShape {
 
 // Odd shapes: unit, single row/column, tall/skinny, and sizes that are
 // deliberately not multiples of the 4x16 micro-tile or the unroll-by-8
-// dot-product width.
+// dot-product width. Every height of a short last row block (m % 4 of
+// 1, 2 or 3) meets n >= 16, where it runs the row-clamped 4x16 tile:
+// e.g. {1,33,12} and {17,64,5}; {2,16,8}, {6,16,32} and {10,33,64};
+// {3,64,64} and {7,48,5}.
 const GemmShape kShapes[] = {
     {1, 1, 1},  {1, 17, 1}, {1, 1, 9},   {5, 1, 7},   {1, 33, 12},
     {7, 5, 3},  {4, 16, 8}, {64, 3, 64}, {3, 64, 64}, {13, 31, 23},
-    {33, 47, 19}, {17, 64, 5},
+    {33, 47, 19}, {17, 64, 5}, {2, 16, 8}, {6, 16, 32}, {7, 48, 5},
+    {10, 33, 64},
 };
 
 class GemmParity : public ::testing::TestWithParam<GemmShape> {};
@@ -115,6 +119,62 @@ TEST_P(GemmParity, TNMatchesNaive) {
 
 INSTANTIATE_TEST_SUITE_P(OddShapes, GemmParity,
                          ::testing::ValuesIn(kShapes));
+
+// The documented NN/TN accumulation order (kernel_body.inc), spelled
+// out as plain loops. Columns covered by full 16-wide tiles get
+// C + (sum from 0, ascending k, of (alpha*a)*b); the trailing n % 16
+// columns chain each product onto C directly. Separate statements keep
+// every multiply and add individually rounded (this TU is built at the
+// baseline ISA, which has no FMA to contract them into).
+void OrderedGemm(bool trans_a, int m, int n, int k, float alpha,
+                 const float* a, const float* b, float* c) {
+  const int tiled = n - n % 16;
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      float* out = c + static_cast<size_t>(i) * n + j;
+      float sum = 0.0f;
+      for (int kk = 0; kk < k; ++kk) {
+        const float av = alpha * (trans_a ? a[static_cast<size_t>(kk) * m + i]
+                                          : a[static_cast<size_t>(i) * k + kk]);
+        const float prod = av * b[static_cast<size_t>(kk) * n + j];
+        if (j < tiled) {
+          sum += prod;
+        } else {
+          *out += prod;
+        }
+      }
+      if (j < tiled) *out += sum;
+    }
+  }
+}
+
+TEST(GemmOrderTest, NNAndTNMatchDocumentedOrderBitForBit) {
+  for (int m = 1; m <= 9; ++m) {
+    for (int n : {16, 17, 33, 48}) {
+      for (int k : {1, 7, 32}) {
+        const auto a = RandomVec(static_cast<size_t>(m) * k, 11 + m);
+        const auto b = RandomVec(static_cast<size_t>(k) * n, 13 + n);
+        const auto c0 = RandomVec(static_cast<size_t>(m) * n, 17 + k);
+        for (bool trans_a : {false, true}) {
+          std::vector<float> want = c0;
+          OrderedGemm(trans_a, m, n, k, 0.75f, a.data(), b.data(),
+                      want.data());
+          std::vector<float> got = c0;
+          if (trans_a) {
+            kernels::GemmTN(m, n, k, 0.75f, a.data(), b.data(), got.data());
+          } else {
+            kernels::GemmNN(m, n, k, 0.75f, a.data(), b.data(), got.data());
+          }
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i], want[i])
+                << (trans_a ? "TN" : "NN") << " m=" << m << " n=" << n
+                << " k=" << k << " element " << i;
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(KernelsTest, BackwardVariantsMatchMatMulGradients) {
   // The NT/TN kernels are exactly the two MatMul backward shapes:

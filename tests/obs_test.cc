@@ -463,6 +463,86 @@ TEST(TraceContextTest, GraphReplayNodesCarryContextAndCosts) {
   EXPECT_TRUE(saw_replays);
 }
 
+// Replay counters are summed per op name at plan time and added once
+// per Run; the values must equal what a per-node count would give: the
+// node count and the summed node_costs() per op, exactly, also when two
+// replays race.
+TEST(GraphReplayCountersTest, UntracedReplayAddsExactPerOpTotals) {
+  NoGradGuard no_grad;
+  const int m = 4, k = 8, n = 2;
+  Tensor w1 = Tensor::FromVector(
+      {k, k}, std::vector<float>(static_cast<size_t>(k * k), 0.5f));
+  Tensor w2 = Tensor::FromVector(
+      {k, n}, std::vector<float>(static_cast<size_t>(k * n), 0.25f));
+  Tensor x = Tensor::Zeros({m, k});
+  graph::GraphCapture capture;
+  capture.MarkInput(x);
+  Tensor y = Scale(MatMul(MatMul(x, w1), w2), 2.0f);
+  capture.MarkOutput(y);
+  auto compiled_or = capture.Finish();
+  ASSERT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
+  auto compiled = std::move(compiled_or).value();
+
+  struct OpExpect {
+    std::string op;
+    int64_t replays = 0, flops = 0, bytes = 0;
+  };
+  std::vector<OpExpect> expected = {{"MatMul"}, {"Scale"}};
+  for (const graph::NodeCost& cost : compiled->node_costs()) {
+    for (OpExpect& e : expected) {
+      if (e.op != cost.name) continue;
+      e.replays += 1;
+      e.flops += cost.flops;
+      e.bytes += cost.bytes;
+    }
+  }
+  ASSERT_EQ(expected[0].replays, 2);
+  ASSERT_EQ(expected[1].replays, 1);
+
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  auto counter = [&](const std::string& op, const char* field) -> Counter& {
+    return registry.GetCounter("hiergat.graph.node." + op + "." + field);
+  };
+  auto snapshot = [&] {
+    std::vector<int64_t> values;
+    for (const OpExpect& e : expected) {
+      for (const char* field : {"replays", "est_flops", "est_bytes"}) {
+        values.push_back(counter(e.op, field).Value());
+      }
+    }
+    return values;
+  };
+  auto expect_deltas = [&](const std::vector<int64_t>& before, int64_t runs) {
+    const std::vector<int64_t> after = snapshot();
+    for (size_t i = 0; i < expected.size(); ++i) {
+      const OpExpect& e = expected[i];
+      EXPECT_EQ(after[3 * i + 0] - before[3 * i + 0], runs * e.replays) << e.op;
+      EXPECT_EQ(after[3 * i + 1] - before[3 * i + 1], runs * e.flops) << e.op;
+      EXPECT_EQ(after[3 * i + 2] - before[3 * i + 2], runs * e.bytes) << e.op;
+    }
+  };
+
+  ASSERT_FALSE(TraceRecorder::Global().enabled());
+  std::vector<float> input(static_cast<size_t>(m * k), 1.0f);
+  const float* inputs[] = {input.data()};
+  auto run_once = [&] {
+    std::vector<float> output(static_cast<size_t>(m * n));
+    float* outputs[] = {output.data()};
+    compiled->Run(inputs, outputs, nullptr);
+  };
+
+  std::vector<int64_t> before = snapshot();
+  run_once();
+  expect_deltas(before, 1);
+
+  before = snapshot();
+  std::thread first(run_once);
+  std::thread second(run_once);
+  first.join();
+  second.join();
+  expect_deltas(before, 2);
+}
+
 TEST(TraceTest, RingOverwritesAreCountedAndReported) {
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.Clear();

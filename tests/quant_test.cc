@@ -208,11 +208,13 @@ struct GemmShape {
 };
 
 // Mirrors the kernels_test odd-shape list: unit, single row/column,
-// tall/skinny, and non-multiples of the micro-tile and unroll widths.
+// tall/skinny, and non-multiples of the micro-tile and unroll widths,
+// including a clamped last row block of every height 1..3 with n >= 16.
 const GemmShape kShapes[] = {
     {1, 1, 1},  {1, 17, 1}, {1, 1, 9},   {5, 1, 7},   {1, 33, 12},
     {7, 5, 3},  {4, 16, 8}, {64, 3, 64}, {3, 64, 64}, {13, 31, 23},
-    {33, 47, 19}, {17, 64, 5},
+    {33, 47, 19}, {17, 64, 5}, {2, 16, 8}, {6, 16, 32}, {7, 48, 5},
+    {10, 33, 64},
 };
 
 class BackendParity : public ::testing::TestWithParam<GemmShape> {};

@@ -11,7 +11,8 @@ namespace q8 {
 // Q8_0 block quantization (ggml-style): each run of 32 consecutive
 // row elements stores one f32 scale plus 32 int8 quants, so a weight
 // row costs 36 bytes per 32 floats instead of 128 — a 3.56x shrink in
-// weight bytes-moved with full-precision activations. Rows quantize
+// checkpoint weight bytes. Loading dequantizes into the f32 weights;
+// nothing computes on the blocks. Rows quantize
 // independently (a rank-2 [rows, cols] tensor has ceil(cols / 32)
 // blocks per row; rank-1 is a single row), so a partial trailing block
 // never straddles two rows.

@@ -113,8 +113,8 @@ class NamedParameters {
   /// Quantizes every slotted parameter in place with the scalar
   /// reference codec: fills each slot's blocks from the current f32
   /// values, then writes the dequantized values *back into the f32
-  /// tensor* so eager f32 math and quantized kernels score from
-  /// identical weights. FailedPrecondition when nothing is quantizable.
+  /// tensor* so f32 scoring runs on exactly the weights a kQ8_0
+  /// checkpoint stores. FailedPrecondition when nothing is quantizable.
   Status QuantizeAll();
 
   /// Registration order is the serialization order.

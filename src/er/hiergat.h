@@ -74,8 +74,8 @@ class HierGatModel : public NeuralPairwiseModel {
   Status Load(const std::string& path) override;
 
   /// Converts every Linear weight and embedding table to Q8_0 blocks in
-  /// place (see PairwiseModel::QuantizeWeights). Inference dispatches
-  /// the quantized kernels afterwards and Save emits a kQ8_0
+  /// place (see PairwiseModel::QuantizeWeights). Scoring then runs f32
+  /// math on the dequantized weights and Save emits a kQ8_0
   /// checkpoint; caches and compiled graphs are invalidated.
   Status QuantizeWeights() override;
 

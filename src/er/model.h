@@ -101,10 +101,11 @@ class PairwiseModel {
   }
 
   /// Converts the model's weights to Q8_0 block-quantized storage in
-  /// place (core/quant.h): inference runs the quantized kernels, and a
-  /// subsequent Save writes a kQ8_0 checkpoint. Lossy and one-way —
-  /// reload an f32 checkpoint to restore full precision. Models without
-  /// quantized inference keep this default.
+  /// place (core/quant.h): the f32 weights are overwritten with their
+  /// dequantized values, and a subsequent Save writes a kQ8_0
+  /// checkpoint. Lossy and one-way — reload an f32 checkpoint to
+  /// restore full precision. Models without Q8_0 storage keep this
+  /// default.
   virtual Status QuantizeWeights() {
     return Status::FailedPrecondition(name() +
                                       " does not support weight quantization");

@@ -119,15 +119,6 @@ StatusOr<std::unique_ptr<Session>> Session::Open(
                                        options.matcher + "'");
       }
     }
-    if (options.summary_cache_capacity > 0) {
-      session->collective_model_->set_summary_cache_capacity(
-          options.summary_cache_capacity);
-    }
-    session->collective_model_->set_graph_compile_enabled(
-        options.enable_graph_compile);
-    if (options.quantize_weights) {
-      HG_RETURN_IF_ERROR(session->collective_model_->QuantizeWeights());
-    }
   } else {
     if (!options.checkpoint_path.empty()) {
       auto model_or = LoadModel<PairwiseModel, HierGatModel>(
@@ -140,15 +131,6 @@ StatusOr<std::unique_ptr<Session>> Session::Open(
         return Status::InvalidArgument("unknown pairwise matcher '" +
                                        options.matcher + "'");
       }
-    }
-    if (options.summary_cache_capacity > 0) {
-      session->pairwise_model_->set_summary_cache_capacity(
-          options.summary_cache_capacity);
-    }
-    session->pairwise_model_->set_graph_compile_enabled(
-        options.enable_graph_compile);
-    if (options.quantize_weights) {
-      HG_RETURN_IF_ERROR(session->pairwise_model_->QuantizeWeights());
     }
   }
 
@@ -165,9 +147,7 @@ StatusOr<std::unique_ptr<Session>> Session::Open(
                        ? std::string(" (untrained)")
                        : " from " + options.checkpoint_path)
                << ", " << session->engine_->num_threads()
-               << " engine thread(s), graph_compile="
-               << (options.enable_graph_compile ? "on" : "off")
-               << (options.quantize_weights ? ", q8 weights" : "");
+               << " engine thread(s)";
   return StatusOr<std::unique_ptr<Session>>(std::move(session));
 }
 

@@ -37,19 +37,6 @@ struct SessionOptions {
 
   /// Inference-engine lanes (see EngineOptions).
   EngineOptions engine;
-  /// Re-caps the model's entity-summary cache; 0 keeps the model
-  /// default (SummaryCache::kDefaultMaxEntries).
-  size_t summary_cache_capacity = 0;
-  /// Compiled-graph scoring (DESIGN.md §11). On by default; turn off to
-  /// force the eager path (results are bit-identical either way).
-  bool enable_graph_compile = true;
-  /// Quantizes the model's weights to Q8_0 blocks right after load
-  /// (PairwiseModel::QuantizeWeights): ~3.56x fewer weight bytes moved
-  /// per score at a small accuracy cost (golden tests bound the score
-  /// drift at 5e-3). Requires a `checkpoint_path` — quantizing an
-  /// untrained model is rejected — and a model with quantized kernels
-  /// (the HierGAT family).
-  bool quantize_weights = false;
 };
 
 /// One trained (or trainable) matcher plus the engine that serves it —

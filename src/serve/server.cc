@@ -7,7 +7,9 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <iterator>
 #include <utility>
+#include <vector>
 
 #include "core/logging.h"
 #include "obs/log.h"
@@ -173,18 +175,15 @@ void Server::Shutdown() {
   // Nudge every connection's blocking read, then join. Requests already
   // admitted keep flowing through the batcher and are answered before
   // the connection thread exits its loop.
+  std::list<Connection> connections;
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (int fd : connection_fds_) shutdown(fd, SHUT_RD);
+    for (const Connection& conn : live_connections_) {
+      if (conn.fd >= 0) shutdown(conn.fd, SHUT_RD);
+    }
+    connections.swap(live_connections_);
   }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    threads.swap(connection_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (Connection& conn : connections) conn.thread.join();
 
   batcher_.Shutdown();
   HG_LOG(INFO) << "serve: drained (" << requests_.load() << " request(s), "
@@ -218,13 +217,39 @@ void Server::AcceptLoop() {
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     connections_.fetch_add(1, std::memory_order_relaxed);
     ConnectionsCounter().Increment();
+    ReapFinishedConnections();
     std::lock_guard<std::mutex> lock(connections_mutex_);
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back([this, fd] {
+    Connection& conn = live_connections_.emplace_back();
+    conn.fd = fd;
+    conn.thread = std::thread([this, fd, &conn] {
       obs::SetTraceThreadName("serve-conn");
       HandleConnection(fd);
+      FinishConnection(&conn);
     });
   }
+}
+
+void Server::ReapFinishedConnections() {
+  std::list<Connection> finished;
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    for (auto it = live_connections_.begin(); it != live_connections_.end();) {
+      const auto next = std::next(it);
+      if (it->fd < 0) finished.splice(finished.end(), live_connections_, it);
+      it = next;
+    }
+  }
+  for (Connection& conn : finished) conn.thread.join();
+}
+
+void Server::FinishConnection(Connection* conn) {
+  int fd;
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    fd = conn->fd;
+    conn->fd = -1;
+  }
+  close(fd);
 }
 
 void Server::HandleConnection(int fd) {
@@ -232,15 +257,11 @@ void Server::HandleConnection(int fd) {
   // frame magic; anything else (e.g. "GET ") is handed to the HTTP shim.
   char sniff[4];
   Status sniff_status = ReadFull(fd, sniff, sizeof(sniff));
-  if (!sniff_status.ok()) {
-    close(fd);
-    return;
-  }
+  if (!sniff_status.ok()) return;
   uint32_t magic;
   std::memcpy(&magic, sniff, sizeof(magic));
   if (magic != kFrameMagic) {
     HandleHttp(fd, std::string(sniff, sizeof(sniff)));
-    close(fd);
     return;
   }
 
@@ -279,7 +300,6 @@ void Server::HandleConnection(int fd) {
     RequestsCounter().Increment();
     if (!WriteFrame(fd, EncodeResponse(response)).ok()) break;
   }
-  close(fd);
 }
 
 Response Server::HandleRequest(const Request& request,

@@ -20,11 +20,11 @@
 /// many 1-pair jobs.
 
 #include <atomic>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/status.h"
 #include "serve/admission.h"
@@ -76,8 +76,19 @@ class Server {
  private:
   Server(ModelRegistry* registry, const ServerOptions& options);
 
+  /// One accepted socket and the thread serving it.
+  struct Connection {
+    int fd = -1;  ///< -1 once the handler is done: the thread can be joined.
+    std::thread thread;
+  };
+
   void AcceptLoop();
+  /// Joins every connection thread whose handler has finished.
+  void ReapFinishedConnections();
+  /// Serves `fd` until the peer closes or Shutdown; never closes it.
   void HandleConnection(int fd);
+  /// Drops `conn`'s fd from the live set, then closes it.
+  void FinishConnection(Connection* conn);
   /// One framed request -> one response (never throws, never crashes
   /// the connection loop; protocol errors become error responses).
   Response HandleRequest(const Request& request,
@@ -96,11 +107,13 @@ class Server {
   std::thread acceptor_;
 
   std::mutex connections_mutex_;
-  /// Live connection fds (for Shutdown's shutdown(2) nudge) and every
-  /// connection thread ever started (joined on Shutdown; finished
-  /// threads cost one join each — fine for the fan-in sizes we serve).
-  std::vector<int> connection_fds_;
-  std::vector<std::thread> connection_threads_;
+  /// Every connection thread not yet joined. A handler clears its fd
+  /// under the mutex before closing it, so Shutdown's shutdown(2) nudge
+  /// only touches fds the server still owns; finished threads are
+  /// joined by the acceptor on its next accept, and the rest on
+  /// Shutdown. List nodes never move, so a handler keeps a pointer to
+  /// its own entry.
+  std::list<Connection> live_connections_;
 
   std::atomic<int64_t> connections_{0};
   std::atomic<int64_t> requests_{0};

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "core/quant.h"
-
 namespace hiergat {
 namespace kernels {
 

@@ -198,8 +198,8 @@ TEST(GoldenTest, QuantizedHierGatReproducesScoresWithinTolerance) {
   ASSERT_TRUE(golden_or.ok()) << golden_or.status().ToString();
   ExpectScoresNear(scores, golden_or.value(), kQ8ScoreTolerance);
 
-  // The quantized compiled path must agree with quantized eager
-  // scoring exactly (same kernels, same accumulation order).
+  // The compiled path must agree with eager scoring exactly (same
+  // kernels, same accumulation order).
   model.set_graph_compile_enabled(false);
   model.InvalidateInferenceCache();
   EXPECT_EQ(model.ScoreBatch(probes), scores);
@@ -219,6 +219,58 @@ TEST(GoldenTest, QuantizedHierGatPlusReproducesScoresWithinTolerance) {
       golden::ReadScores(FixturePath(golden::kHierGatPlusScores));
   ASSERT_TRUE(golden_or.ok()) << golden_or.status().ToString();
   ExpectScoresNear(scores, golden_or.value(), kQ8ScoreTolerance);
+}
+
+// Q8_0 is a storage format: QuantizeWeights writes the dequantized
+// values into the f32 weights and scoring runs the one f32 kernel set.
+// So a quantized model must score exactly like a plain f32 model that
+// was handed the same (dequantized) weight values, on both paths.
+template <typename Model>
+struct WithParameters : Model {
+  using Model::TrainableParameters;
+};
+
+template <typename Model, typename ScoreFn>
+void ExpectQuantizedEqualsF32OnDequantizedWeights(const char* checkpoint,
+                                                  ScoreFn score) {
+  WithParameters<Model> quantized;
+  ASSERT_TRUE(quantized.Load(FixturePath(checkpoint)).ok());
+  ASSERT_TRUE(quantized.QuantizeWeights().ok());
+
+  WithParameters<Model> dense;
+  ASSERT_TRUE(dense.Load(FixturePath(checkpoint)).ok());
+  const std::vector<Tensor> from = quantized.TrainableParameters();
+  std::vector<Tensor> to = dense.TrainableParameters();
+  ASSERT_EQ(from.size(), to.size());
+  for (size_t i = 0; i < from.size(); ++i) {
+    ASSERT_EQ(from[i].shape(), to[i].shape()) << "parameter " << i;
+    to[i].data() = from[i].data();  // Shared handle: writes model storage.
+  }
+  dense.InvalidateInferenceCache();
+
+  EXPECT_EQ(score(quantized), score(dense)) << "compiled";
+  quantized.set_graph_compile_enabled(false);
+  dense.set_graph_compile_enabled(false);
+  quantized.InvalidateInferenceCache();
+  dense.InvalidateInferenceCache();
+  EXPECT_EQ(score(quantized), score(dense)) << "eager";
+}
+
+TEST(GoldenTest, QuantizedHierGatScoresEqualF32OnDequantizedWeights) {
+  const PairDataset data = golden::MakePairDataset();
+  const std::vector<EntityPair> probes = golden::ProbePairs(data);
+  ExpectQuantizedEqualsF32OnDequantizedWeights<HierGatModel>(
+      golden::kHierGatCheckpoint,
+      [&](const HierGatModel& model) { return model.ScoreBatch(probes); });
+}
+
+TEST(GoldenTest, QuantizedHierGatPlusScoresEqualF32OnDequantizedWeights) {
+  const CollectiveDataset data = golden::MakeCollectiveDataset();
+  const std::vector<CollectiveQuery> probes = golden::ProbeQueries(data);
+  ExpectQuantizedEqualsF32OnDequantizedWeights<HierGatPlusModel>(
+      golden::kHierGatPlusCheckpoint, [&](const HierGatPlusModel& model) {
+        return golden::ScoreQueries(model, probes);
+      });
 }
 
 TEST(GoldenTest, QuantizedSaveLoadSaveIsByteStable) {

@@ -6,7 +6,11 @@
 // serve) — the registry swap, batcher, and server teardown are the
 // interesting race surfaces.
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -476,6 +480,70 @@ TEST(ServerTest, OverloadShedsWithExplicitResourceExhausted) {
   obs::Counter& rejected = obs::MetricsRegistry::Global().GetCounter(
       "hiergat.serve.admission.rejected");
   EXPECT_GE(rejected.Value(), sheds.load());
+}
+
+/// VmSize of this process in kB, from /proc/self/status (0 if absent).
+long VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  return 0;
+}
+
+TEST(ServerTest, ShutdownLeavesReusedFdNumbersAlone) {
+  ModelRegistry registry;
+  ServerOptions options;
+  options.port = 0;
+  auto server_or = Server::Start(&registry, options);
+  ASSERT_TRUE(server_or.ok());
+  std::unique_ptr<Server> server = std::move(server_or).value();
+
+  // HttpGet reads to EOF, so the server has closed its end of the probe
+  // when it returns. The probe's two sockets took the two lowest free
+  // fds, and the socketpair below takes them again.
+  const auto healthz = HttpGet("127.0.0.1", server->port(), "/healthz");
+  ASSERT_TRUE(healthz.ok());
+  int sv[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+
+  server->Shutdown();
+
+  // Neither end may have been shutdown(2) by the server.
+  for (int i = 0; i < 2; ++i) {
+    const char out = static_cast<char>('a' + i);
+    ASSERT_EQ(send(sv[1 - i], &out, 1, MSG_NOSIGNAL), 1) << "end " << i;
+    char in = 0;
+    ASSERT_EQ(recv(sv[i], &in, 1, 0), 1) << "end " << i;
+    EXPECT_EQ(in, out);
+  }
+  close(sv[0]);
+  close(sv[1]);
+}
+
+TEST(ServerTest, SequentialProbesDoNotAccumulateThreads) {
+  ModelRegistry registry;
+  ServerOptions options;
+  options.port = 0;
+  auto server_or = Server::Start(&registry, options);
+  ASSERT_TRUE(server_or.ok());
+  std::unique_ptr<Server> server = std::move(server_or).value();
+
+  // One connection at a time: a handler that finished must be joined,
+  // not kept (with its stack mapped) until Shutdown.
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(HttpGet("127.0.0.1", server->port(), "/healthz").ok());
+  }
+  const long before_kb = VmSizeKb();
+  ASSERT_GT(before_kb, 0);
+  for (int i = 0; i < 256; ++i) {
+    ASSERT_TRUE(HttpGet("127.0.0.1", server->port(), "/healthz").ok());
+  }
+  const long growth_mb = (VmSizeKb() - before_kb) / 1024;
+  EXPECT_LT(growth_mb, 128) << "256 sequential probes grew VmSize by "
+                            << growth_mb << " MB";
+  EXPECT_EQ(server->stats().http_requests, 16 + 256);
 }
 
 }  // namespace

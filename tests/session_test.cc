@@ -111,14 +111,14 @@ TEST(SessionTest, GraphCompileToggleKeepsScoresBitIdentical) {
   const std::vector<float> compiled = session->Score(data.test);
 
   SessionOptions eager_options = TinySessionOptions();
-  eager_options.enable_graph_compile = false;
   const std::string path = TempCheckpointPath("session_eager.ckpt");
   ASSERT_TRUE(session->SaveCheckpoint(path).ok());
   eager_options.checkpoint_path = path;
   auto eager_or = Session::Open(eager_options);
   ASSERT_TRUE(eager_or.ok());
-  const std::vector<float> eager = std::move(eager_or).value()->Score(
-      data.test);
+  std::unique_ptr<Session> eager_session = std::move(eager_or).value();
+  eager_session->model()->set_graph_compile_enabled(false);
+  const std::vector<float> eager = eager_session->Score(data.test);
 
   ASSERT_EQ(compiled.size(), eager.size());
   for (size_t i = 0; i < compiled.size(); ++i) {
@@ -128,11 +128,10 @@ TEST(SessionTest, GraphCompileToggleKeepsScoresBitIdentical) {
 }
 
 TEST(SessionTest, SummaryCacheCapacityReachesTheModel) {
-  SessionOptions options = TinySessionOptions();
-  options.summary_cache_capacity = 7;
-  auto session_or = Session::Open(options);
+  auto session_or = Session::Open(TinySessionOptions());
   ASSERT_TRUE(session_or.ok());
   std::unique_ptr<Session> session = std::move(session_or).value();
+  session->model()->set_summary_cache_capacity(7);
   auto* hiergat = dynamic_cast<HierGatModel*>(session->model());
   ASSERT_NE(hiergat, nullptr);
   EXPECT_EQ(hiergat->summary_cache().max_entries(), 7u);

@@ -49,7 +49,6 @@ struct Flags {
   int max_delay_us = 1000;
   int max_pending_pairs = 8192;
   int max_per_connection = 64;
-  bool quantize = false;
   std::vector<std::pair<std::string, std::string>> models;  // name -> path.
   std::string model_dir;
   std::string trace_out;
@@ -70,7 +69,6 @@ void PrintUsage(const char* argv0) {
       "  --max_delay_us=N       batch hold time in usec  (default 1000)\n"
       "  --max_pending_pairs=N  admission cap, 0=off     (default 8192)\n"
       "  --max_per_connection=N per-conn in-flight cap   (default 64)\n"
-      "  --quantize             serve Q8_0-quantized weights\n"
       "  --trace_out=PATH       write a Chrome trace on shutdown\n",
       argv0);
 }
@@ -111,8 +109,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->max_per_connection = std::atoi(v);
     } else if (const char* v = value_of("--trace_out")) {
       flags->trace_out = v;
-    } else if (arg == "--quantize") {
-      flags->quantize = true;
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(argv[0]);
       return false;
@@ -155,7 +151,6 @@ int Main(int argc, char** argv) {
     SessionOptions session_options;
     session_options.checkpoint_path = path;
     session_options.engine.num_threads = flags.threads;
-    session_options.quantize_weights = flags.quantize;
     const Status status = registry.LoadModel(name, session_options);
     if (!status.ok()) {
       std::fprintf(stderr, "loading model \"%s\" from %s failed: %s\n",

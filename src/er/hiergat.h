@@ -64,6 +64,8 @@ class HierGatModel : public NeuralPairwiseModel {
   /// move; the trainer calls this around validation passes).
   void InvalidateInferenceCache() const override;
 
+  int num_attributes() const override { return num_attributes_; }
+
   /// Checkpointing: Save writes config + vocabulary + trained weights
   /// to a versioned binary file (format: src/core/serialize.h); Load
   /// reconstructs the full model from such a file — no dataset and no

@@ -74,6 +74,11 @@ class PairwiseModel {
   /// previously scored model; a no-op for models without caches.
   virtual void InvalidateInferenceCache() const {}
 
+  /// Attributes per entity of the trained schema: scoring a pair whose
+  /// entities' shorter attribute list has a different length is a
+  /// precondition violation. 0 means any schema is accepted.
+  virtual int num_attributes() const { return 0; }
+
   /// Toggles compiled-graph scoring (DESIGN.md §11). A no-op for models
   /// without a compiled inference path.
   virtual void set_graph_compile_enabled(bool enabled) { (void)enabled; }

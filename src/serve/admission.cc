@@ -15,16 +15,6 @@ obs::Counter& RejectedCounter() {
       "hiergat.serve.admission.rejected");
   return counter;
 }
-obs::Counter& RejectedQueueCounter() {
-  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
-      "hiergat.serve.admission.rejected_queue");
-  return counter;
-}
-obs::Counter& RejectedConnectionCounter() {
-  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
-      "hiergat.serve.admission.rejected_connection");
-  return counter;
-}
 obs::Gauge& PendingPairsGauge() {
   static obs::Gauge& gauge = obs::MetricsRegistry::Global().GetGauge(
       "hiergat.serve.admission.pending_pairs");
@@ -41,7 +31,6 @@ AdmissionController::Permit& AdmissionController::Permit::operator=(
   if (this != &other) {
     Release();
     controller_ = std::exchange(other.controller_, nullptr);
-    connection_ = std::exchange(other.connection_, nullptr);
     pairs_ = std::exchange(other.pairs_, 0);
   }
   return *this;
@@ -49,70 +38,38 @@ AdmissionController::Permit& AdmissionController::Permit::operator=(
 
 void AdmissionController::Permit::Release() {
   if (controller_ != nullptr) {
-    controller_->Release(connection_, pairs_);
+    controller_->Release(pairs_);
     controller_ = nullptr;
-    connection_ = nullptr;
     pairs_ = 0;
   }
 }
 
 StatusOr<AdmissionController::Permit> AdmissionController::Admit(
-    int num_pairs, std::atomic<int>* connection_in_flight) {
-  // Per-connection gate first: it is the cheaper check and the shed
-  // should blame the over-driving connection, not global load.
-  if (connection_in_flight != nullptr && options_.max_per_connection > 0) {
-    const int in_flight =
-        connection_in_flight->fetch_add(1, std::memory_order_relaxed);
-    if (in_flight >= options_.max_per_connection) {
-      connection_in_flight->fetch_sub(1, std::memory_order_relaxed);
-      RejectedCounter().Increment();
-      RejectedConnectionCounter().Increment();
-      obs::RecordFlightEvent(obs::FlightEventKind::kServeShed,
-                             "admission.connection", num_pairs, in_flight);
-      return Status::ResourceExhausted(
-          "admission: connection has " + std::to_string(in_flight) +
-          " request(s) in flight (max_per_connection " +
-          std::to_string(options_.max_per_connection) + ")");
-    }
-  } else {
-    connection_in_flight = nullptr;  // Nothing to undo on release.
+    int num_pairs) {
+  if (options_.max_pending_pairs <= 0) {
+    return Permit();  // Unlimited: nothing to release.
   }
-
-  if (options_.max_pending_pairs > 0) {
-    const int64_t pending =
-        pending_pairs_.fetch_add(num_pairs, std::memory_order_relaxed);
-    if (pending + num_pairs > options_.max_pending_pairs) {
-      pending_pairs_.fetch_sub(num_pairs, std::memory_order_relaxed);
-      if (connection_in_flight != nullptr) {
-        connection_in_flight->fetch_sub(1, std::memory_order_relaxed);
-      }
-      RejectedCounter().Increment();
-      RejectedQueueCounter().Increment();
-      obs::RecordFlightEvent(obs::FlightEventKind::kServeShed,
-                             "admission.queue", num_pairs, pending);
-      return Status::ResourceExhausted(
-          "admission: " + std::to_string(pending) +
-          " pair(s) already pending (max_pending_pairs " +
-          std::to_string(options_.max_pending_pairs) + ")");
-    }
-    PendingPairsGauge().Set(
-        static_cast<double>(pending_pairs_.load(std::memory_order_relaxed)));
-  } else {
-    num_pairs = 0;  // Nothing to undo on release.
+  const int64_t pending =
+      pending_pairs_.fetch_add(num_pairs, std::memory_order_relaxed);
+  if (pending + num_pairs > options_.max_pending_pairs) {
+    pending_pairs_.fetch_sub(num_pairs, std::memory_order_relaxed);
+    RejectedCounter().Increment();
+    obs::RecordFlightEvent(obs::FlightEventKind::kServeShed,
+                           "admission.queue", num_pairs, pending);
+    return Status::ResourceExhausted(
+        "admission: " + std::to_string(pending) +
+        " pair(s) already pending (max_pending_pairs " +
+        std::to_string(options_.max_pending_pairs) + ")");
   }
-
-  return Permit(this, connection_in_flight, num_pairs);
+  PendingPairsGauge().Set(
+      static_cast<double>(pending_pairs_.load(std::memory_order_relaxed)));
+  return Permit(this, num_pairs);
 }
 
-void AdmissionController::Release(std::atomic<int>* connection, int pairs) {
-  if (pairs > 0) {
-    pending_pairs_.fetch_sub(pairs, std::memory_order_relaxed);
-    PendingPairsGauge().Set(
-        static_cast<double>(pending_pairs_.load(std::memory_order_relaxed)));
-  }
-  if (connection != nullptr) {
-    connection->fetch_sub(1, std::memory_order_relaxed);
-  }
+void AdmissionController::Release(int pairs) {
+  pending_pairs_.fetch_sub(pairs, std::memory_order_relaxed);
+  PendingPairsGauge().Set(
+      static_cast<double>(pending_pairs_.load(std::memory_order_relaxed)));
 }
 
 }  // namespace serve

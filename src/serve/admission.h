@@ -3,17 +3,11 @@
 
 /// Admission control for the serving layer (DESIGN.md §14): overload
 /// answers with an explicit RESOURCE_EXHAUSTED shed response instead of
-/// queueing without bound. Two independent gates:
-///
-///   - a global gate on pending work (pairs admitted but not yet
-///     answered) — bounds server memory and tail latency, and
-///   - a per-connection gate on in-flight requests — one pipelining
-///     client cannot monopolize the queue (backpressure lands on the
-///     connection that over-drives).
-///
-/// Both gates are lock-free (fetch_add + undo on overflow). Every shed
-/// is counted (`hiergat.serve.admission.rejected` plus a per-gate
-/// breakdown) and logged to the flight recorder.
+/// queueing without bound. One global gate on pending work (pairs
+/// admitted but not yet answered) bounds server memory and tail
+/// latency. It is lock-free (fetch_add + undo on overflow). Every shed
+/// is counted (`hiergat.serve.admission.rejected`) and logged to the
+/// flight recorder.
 
 #include <atomic>
 #include <cstdint>
@@ -27,8 +21,6 @@ struct AdmissionOptions {
   /// Cap on pairs admitted and not yet answered, across the whole
   /// server. 0 = unlimited.
   int max_pending_pairs = 8192;
-  /// Cap on admitted, unanswered requests per connection. 0 = unlimited.
-  int max_per_connection = 64;
 };
 
 class AdmissionController {
@@ -56,29 +48,24 @@ class AdmissionController {
 
    private:
     friend class AdmissionController;
-    Permit(AdmissionController* controller, std::atomic<int>* connection,
-           int pairs)
-        : controller_(controller), connection_(connection), pairs_(pairs) {}
+    Permit(AdmissionController* controller, int pairs)
+        : controller_(controller), pairs_(pairs) {}
 
     AdmissionController* controller_ = nullptr;
-    std::atomic<int>* connection_ = nullptr;
     int pairs_ = 0;
   };
 
-  /// Tries to admit a request of `num_pairs` from the connection whose
-  /// in-flight counter is `connection_in_flight` (may be null for
-  /// connection-less callers). On overload returns ResourceExhausted
-  /// with a gate-specific message and counts the shed; the caller must
-  /// turn that into a wire-level RESOURCE_EXHAUSTED response.
-  StatusOr<Permit> Admit(int num_pairs,
-                         std::atomic<int>* connection_in_flight);
+  /// Tries to admit a request of `num_pairs`. On overload returns
+  /// ResourceExhausted and counts the shed; the caller must turn that
+  /// into a wire-level RESOURCE_EXHAUSTED response.
+  StatusOr<Permit> Admit(int num_pairs);
 
   int64_t pending_pairs() const {
     return pending_pairs_.load(std::memory_order_relaxed);
   }
 
  private:
-  void Release(std::atomic<int>* connection, int pairs);
+  void Release(int pairs);
 
   const AdmissionOptions options_;
   std::atomic<int64_t> pending_pairs_{0};

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <span>
+#include <condition_variable>
+#include <iterator>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace hiergat {
 namespace serve {
@@ -36,29 +38,44 @@ obs::Histogram& BatchPairsHistogram() {
   return histogram;
 }
 obs::Histogram& QueueWaitSecondsHistogram() {
-  // Request waits span the configured delay budget (~1ms) down to the
-  // uncontended enqueue/dequeue handoff (~1us).
+  // Arrival until the request's batch starts scoring: the configured
+  // delay budget (~1ms) down to an uncontended handoff (~1us).
   static obs::Histogram& histogram =
       obs::MetricsRegistry::Global().GetHistogram(
           "hiergat.serve.batch.queue_wait_seconds",
           obs::Histogram::ExponentialBounds(1e-6, 4.0, 12));
   return histogram;
 }
-obs::Gauge& QueueDepthGauge() {
-  static obs::Gauge& gauge = obs::MetricsRegistry::Global().GetGauge(
-      "hiergat.serve.batch.queue_pairs");
-  return gauge;
-}
 
 }  // namespace
 
+/// One coalesced ScoreBatch call. Everything is guarded by the
+/// batcher's mutex_ except `pairs` once the batch is closed (then only
+/// the leader reads it) and the results once `done` is set.
+struct DynamicBatcher::Batch {
+  std::shared_ptr<Session> session;
+  std::vector<EntityPair> pairs;  ///< Every member's pairs, in join order.
+  int64_t requests = 0;
+  bool closed = false;  ///< Out of open_; no more members can join.
+  bool done = false;    ///< `scores` and the execution interval are set.
+  std::vector<float> scores;
+  uint64_t exec_start_ns = 0;
+  uint64_t exec_dur_ns = 0;
+  /// Wakes the leader when the batch closes and followers when it is
+  /// done.
+  std::condition_variable cv;
+};
+
 DynamicBatcher::DynamicBatcher(const BatcherOptions& options)
     : options_{std::max(1, options.max_batch_size),
-               std::max(0, options.max_delay_us)} {
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
-}
+               std::max(0, options.max_delay_us)} {}
 
-DynamicBatcher::~DynamicBatcher() { Shutdown(); }
+void DynamicBatcher::CloseLocked(Batch* batch) {
+  if (batch->closed) return;
+  batch->closed = true;
+  std::erase_if(open_, [&](const auto& open) { return open.get() == batch; });
+  batch->cv.notify_all();
+}
 
 StatusOr<std::vector<float>> DynamicBatcher::Score(
     std::shared_ptr<Session> session, std::vector<EntityPair> pairs) {
@@ -66,151 +83,95 @@ StatusOr<std::vector<float>> DynamicBatcher::Score(
     return Status::InvalidArgument("batcher: null session");
   }
   if (pairs.empty()) return std::vector<float>();
-
-  auto pending = std::make_shared<Pending>();
-  pending->session = std::move(session);
-  pending->pairs = std::move(pairs);
-  pending->context = obs::CurrentTraceContext();
-  pending->enqueue_ns = obs::MonotonicNowNs();
-
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (shutdown_) {
-      return Status::Unavailable("batcher: shut down");
-    }
-    queue_.push_back(pending);
-    QueueDepthGauge().Add(static_cast<double>(pending->pairs.size()));
-  }
-  queue_cv_.notify_one();
+  const uint64_t enqueue_ns = obs::MonotonicNowNs();
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(options_.max_delay_us);
+  const size_t n = pairs.size();
+  const size_t max_pairs = static_cast<size_t>(options_.max_batch_size);
 
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return pending->done; });
-  QueueWaitSecondsHistogram().Observe(
-      static_cast<double>(obs::MonotonicNowNs() - pending->enqueue_ns) * 1e-9);
-  return std::move(pending->scores);
-}
-
-std::vector<std::shared_ptr<DynamicBatcher::Pending>>
-DynamicBatcher::TakeBatchLocked() {
-  std::vector<std::shared_ptr<Pending>> batch;
-  if (queue_.empty()) return batch;
-  Session* const session = queue_.front()->session.get();
-  size_t total = 0;
-  while (!queue_.empty() && queue_.front()->session.get() == session) {
-    const size_t next = queue_.front()->pairs.size();
-    // Never split a request; close the batch when adding the next one
-    // would overflow (unless the batch is still empty — an oversized
-    // request dispatches alone).
-    if (!batch.empty() &&
-        total + next > static_cast<size_t>(options_.max_batch_size)) {
-      break;
-    }
-    batch.push_back(std::move(queue_.front()));
-    queue_.pop_front();
-    total += next;
-    if (total >= static_cast<size_t>(options_.max_batch_size)) break;
+  if (shutdown_) {
+    return Status::Unavailable("batcher: shut down");
   }
-  QueueDepthGauge().Add(-static_cast<double>(total));
-  return batch;
-}
-
-void DynamicBatcher::DispatcherLoop() {
-  obs::SetTraceThreadName("serve-batcher");
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    queue_cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (shutdown_) return;
-      continue;
+  // Join the session's open batch if this request fits; never split a
+  // request, so one that does not fit closes that batch and leads the
+  // next.
+  std::shared_ptr<Batch> batch;
+  auto it = std::find_if(open_.begin(), open_.end(), [&](const auto& open) {
+    return open->session == session;
+  });
+  if (it != open_.end()) {
+    if ((*it)->pairs.size() + n <= max_pairs) {
+      batch = *it;
+    } else {
+      CloseLocked(it->get());
     }
-    // Batch window: hold the batch open until it is full or the oldest
-    // request has waited max_delay_us. During shutdown pending work is
-    // drained immediately — no point delaying requests nobody will join.
-    if (options_.max_delay_us > 0) {
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(options_.max_delay_us);
-      auto PendingPairs = [&] {
-        size_t total = 0;
-        for (const auto& pending : queue_) total += pending->pairs.size();
-        return total;
-      };
-      while (!shutdown_ &&
-             PendingPairs() < static_cast<size_t>(options_.max_batch_size)) {
-        if (queue_cv_.wait_until(lock, deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-    }
+  }
+  const bool leader = batch == nullptr;
+  if (leader) {
+    batch = std::make_shared<Batch>();
+    batch->session = std::move(session);
+    open_.push_back(batch);
+  }
+  const size_t offset = batch->pairs.size();
+  batch->pairs.insert(batch->pairs.end(),
+                      std::make_move_iterator(pairs.begin()),
+                      std::make_move_iterator(pairs.end()));
+  ++batch->requests;
+  if (batch->pairs.size() >= max_pairs) CloseLocked(batch.get());
 
-    std::vector<std::shared_ptr<Pending>> batch = TakeBatchLocked();
-    if (batch.empty()) continue;
+  if (leader) {
+    batch->cv.wait_until(lock, deadline, [&] { return batch->closed; });
+    CloseLocked(batch.get());
     lock.unlock();
 
-    // Concatenate, score once, split back. The batch runs under the
-    // oldest request's trace context so engine/graph spans attach to a
-    // real request id even when several were coalesced.
-    std::vector<EntityPair> all_pairs;
-    size_t total = 0;
-    for (const auto& pending : batch) total += pending->pairs.size();
-    all_pairs.reserve(total);
-    for (const auto& pending : batch) {
-      all_pairs.insert(all_pairs.end(), pending->pairs.begin(),
-                       pending->pairs.end());
-    }
+    // The batch runs on the leader's thread, under its trace context.
+    const size_t total = batch->pairs.size();
     const uint64_t exec_start_ns = obs::MonotonicNowNs();
     std::vector<float> scores;
     {
-      obs::ScopedTraceContext context_guard(batch.front()->context);
       HG_TRACE_SPAN("serve.batch.Dispatch");
-      scores = batch.front()->session->Score(all_pairs);
+      scores = batch->session->Score(batch->pairs);
     }
     const uint64_t exec_dur_ns = obs::MonotonicNowNs() - exec_start_ns;
-
     BatchesCounter().Increment();
-    RequestsCounter().Increment(static_cast<int64_t>(batch.size()));
+    RequestsCounter().Increment(batch->requests);
     PairsCounter().Increment(static_cast<int64_t>(total));
     BatchPairsHistogram().Observe(static_cast<double>(total));
 
-    size_t offset = 0;
-    for (const auto& pending : batch) {
-      const size_t n = pending->pairs.size();
-      pending->scores.assign(scores.begin() + static_cast<ptrdiff_t>(offset),
-                             scores.begin() +
-                                 static_cast<ptrdiff_t>(offset + n));
-      offset += n;
-      // Per-request span: every coalesced request records the batch's
-      // execution interval under its own trace id, so a request-scoped
-      // Perfetto view shows when (and for how long) its scores were
-      // computed even though the work was shared.
-      if (obs::TraceRecorder::Global().enabled()) {
-        obs::TraceRecorder::Global().Record("serve.batch.Score",
-                                            exec_start_ns, exec_dur_ns,
-                                            pending->context.trace_id);
-      }
-    }
-
     lock.lock();
-    requests_ += static_cast<int64_t>(batch.size());
+    requests_ += batch->requests;
     ++batches_;
     pairs_ += static_cast<int64_t>(total);
-    for (const auto& pending : batch) pending->done = true;
-    done_cv_.notify_all();
+    batch->scores = std::move(scores);
+    batch->exec_start_ns = exec_start_ns;
+    batch->exec_dur_ns = exec_dur_ns;
+    batch->done = true;
+    batch->cv.notify_all();
+  } else {
+    batch->cv.wait(lock, [&] { return batch->done; });
   }
+  lock.unlock();
+
+  QueueWaitSecondsHistogram().Observe(
+      static_cast<double>(batch->exec_start_ns - enqueue_ns) * 1e-9);
+  // Per-request span: every coalesced request records the batch's
+  // execution interval under its own trace id, so a request-scoped
+  // Perfetto view shows when (and for how long) its scores were
+  // computed even though the work was shared.
+  if (obs::TraceRecorder::Global().enabled()) {
+    obs::TraceRecorder::Global().Record(
+        "serve.batch.Score", batch->exec_start_ns, batch->exec_dur_ns,
+        obs::CurrentTraceContext().trace_id);
+  }
+  const auto first = batch->scores.begin() + static_cast<ptrdiff_t>(offset);
+  return std::vector<float>(first, first + static_cast<ptrdiff_t>(n));
 }
 
 void DynamicBatcher::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  queue_cv_.notify_all();
-  // call_once so a server Shutdown racing the destructor never joins
-  // the dispatcher twice.
-  std::call_once(join_once_, [&] {
-    if (dispatcher_.joinable()) dispatcher_.join();
-  });
+  std::lock_guard<std::mutex> lock(mutex_);
+  shutdown_ = true;
+  while (!open_.empty()) CloseLocked(open_.back().get());
 }
 
 DynamicBatcher::Stats DynamicBatcher::stats() const {

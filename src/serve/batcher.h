@@ -3,52 +3,50 @@
 
 /// Dynamic batching for the serving layer (DESIGN.md §14). Network
 /// requests arrive as small pair lists (often a single pair); scoring
-/// each one as its own engine job wastes the thread pool — a 1-pair job
-/// keeps at most one of the engine's lanes busy, and per-job dispatch
-/// overhead is paid per pair. The batcher coalesces concurrent
-/// requests targeting the same Session into one ScoreBatch call under
-/// a latency budget:
+/// each one as its own engine job pays per-job dispatch overhead per
+/// pair. The batcher coalesces concurrent requests targeting the same
+/// Session into one ScoreBatch call under a latency budget, with no
+/// thread of its own (leader/follower):
 ///
-///   - a batch closes as soon as `max_batch_size` pairs are pending, or
-///   - `max_delay_us` after its oldest request arrived, whichever is
-///     first (so an idle server adds at most max_delay_us of latency).
+///   - a caller that finds no open batch for its session, or no room in
+///     it, opens one and becomes its leader; later callers append their
+///     pairs and wait;
+///   - the batch closes as soon as it holds `max_batch_size` pairs, or
+///     `max_delay_us` after its leader arrived, whichever is first (so
+///     an idle server adds at most max_delay_us of latency);
+///   - the leader then scores the batch on its own thread and hands
+///     every follower its slice. Batches run concurrently.
 ///
 /// Each request keeps its own obs::TraceContext across coalescing: the
-/// batch executes under the oldest request's context (engine/graph
-/// spans attach there), and every coalesced request additionally gets a
+/// batch executes under the leader's context (engine/graph spans attach
+/// there), and every coalesced request additionally gets a
 /// "serve.batch.Score" span stamped with its own trace id covering the
 /// execution interval — so per-request traces survive batching.
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/status.h"
 #include "data/entity.h"
 #include "er/session.h"
-#include "obs/trace.h"
 
 namespace hiergat {
 namespace serve {
 
 struct BatcherOptions {
-  /// Pairs per dispatched ScoreBatch. A single request larger than this
-  /// is dispatched alone (never split) — the engine handles any size.
+  /// Pairs per coalesced ScoreBatch. A single request larger than this
+  /// is scored alone (never split) — the engine handles any size.
   int max_batch_size = 32;
-  /// How long the oldest pending request may wait for the batch to
-  /// fill. 0 disables coalescing-by-time: every dispatch takes whatever
-  /// is pending the moment the dispatcher wakes.
+  /// How long a batch's leader waits for the batch to fill. 0 disables
+  /// coalescing: every request is scored as soon as it arrives.
   int max_delay_us = 1000;
 };
 
 class DynamicBatcher {
  public:
   explicit DynamicBatcher(const BatcherOptions& options = BatcherOptions());
-  ~DynamicBatcher();
 
   DynamicBatcher(const DynamicBatcher&) = delete;
   DynamicBatcher& operator=(const DynamicBatcher&) = delete;
@@ -62,47 +60,36 @@ class DynamicBatcher {
   StatusOr<std::vector<float>> Score(std::shared_ptr<Session> session,
                                      std::vector<EntityPair> pairs);
 
-  /// Drains every pending request, then stops the dispatcher. Idempotent;
-  /// also run by the destructor.
+  /// Closes every open batch, so its leader scores it now, and rejects
+  /// later calls. Calls already inside Score still get their scores;
+  /// the owner must let them return before destroying the batcher.
+  /// Idempotent.
   void Shutdown();
 
   struct Stats {
     int64_t requests = 0;  ///< Score() calls completed.
-    int64_t batches = 0;   ///< ScoreBatch dispatches issued.
+    int64_t batches = 0;   ///< ScoreBatch calls issued.
     int64_t pairs = 0;     ///< Total pairs scored.
   };
   Stats stats() const;
 
  private:
-  struct Pending {
-    std::shared_ptr<Session> session;
-    std::vector<EntityPair> pairs;
-    obs::TraceContext context;
-    uint64_t enqueue_ns = 0;
+  struct Batch;
 
-    std::vector<float> scores;  ///< Filled by the dispatcher.
-    bool done = false;
-  };
-
-  void DispatcherLoop();
-  /// Pops the next batch (all for one session) off queue_; call with
-  /// mutex_ held. Empty result means "wait longer".
-  std::vector<std::shared_ptr<Pending>> TakeBatchLocked();
+  /// Takes `batch` out of open_ and wakes its leader; call with mutex_
+  /// held.
+  void CloseLocked(Batch* batch);
 
   const BatcherOptions options_;
 
   mutable std::mutex mutex_;
-  std::condition_variable queue_cv_;  ///< Wakes the dispatcher.
-  std::condition_variable done_cv_;   ///< Wakes callers whose batch ran.
-  std::deque<std::shared_ptr<Pending>> queue_;
+  /// Batches still accepting pairs, at most one per session.
+  std::vector<std::shared_ptr<Batch>> open_;
   bool shutdown_ = false;
 
   int64_t requests_ = 0;
   int64_t batches_ = 0;
   int64_t pairs_ = 0;
-
-  std::once_flag join_once_;
-  std::thread dispatcher_;
 };
 
 }  // namespace serve

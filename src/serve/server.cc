@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iterator>
 #include <utility>
@@ -85,6 +86,27 @@ std::string ReadHttpRequest(int fd, std::string head) {
     head.append(buf, static_cast<size_t>(n));
   }
   return head;
+}
+
+/// A pair whose attribute count differs from the served model's
+/// training schema would trip the model's schema check; answer it
+/// instead. A model that reports 0 attributes takes any schema.
+Status CheckSchema(const Session& session,
+                   const std::vector<EntityPair>& pairs) {
+  const PairwiseModel* model = session.model();
+  const int expected = model == nullptr ? 0 : model->num_attributes();
+  if (expected == 0) return Status::Ok();
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const int left = pairs[i].left.num_attributes();
+    const int right = pairs[i].right.num_attributes();
+    if (std::min(left, right) != expected) {
+      return Status::InvalidArgument(
+          "pair " + std::to_string(i) + " has " + std::to_string(left) +
+          " and " + std::to_string(right) + " attribute(s); model " +
+          model->name() + " was trained on " + std::to_string(expected));
+    }
+  }
+  return Status::Ok();
 }
 
 void WriteHttpResponse(int fd, int code, const char* reason,
@@ -266,7 +288,6 @@ void Server::HandleConnection(int fd) {
   }
 
   // Framed loop: frames after the first re-read their own magic.
-  std::atomic<int> in_flight{0};
   bool first_frame = true;
   while (!shutdown_.load(std::memory_order_acquire)) {
     StatusOr<std::string> payload = first_frame
@@ -294,7 +315,7 @@ void Server::HandleConnection(int fd) {
       response.status = ToWireStatus(request.status());
       response.message = request.status().ToString();
     } else {
-      response = HandleRequest(request.value(), &in_flight);
+      response = HandleRequest(request.value());
     }
     requests_.fetch_add(1, std::memory_order_relaxed);
     RequestsCounter().Increment();
@@ -302,8 +323,7 @@ void Server::HandleConnection(int fd) {
   }
 }
 
-Response Server::HandleRequest(const Request& request,
-                                     std::atomic<int>* connection_in_flight) {
+Response Server::HandleRequest(const Request& request) {
   HG_TRACE_SPAN("serve.Request");
   const auto started_ns = obs::MonotonicNowNs();
   Response response;
@@ -333,13 +353,6 @@ Response Server::HandleRequest(const Request& request,
 
     case MessageType::kScore: {
       const int num_pairs = static_cast<int>(request.score.pairs.size());
-      StatusOr<AdmissionController::Permit> permit =
-          admission_.Admit(num_pairs, connection_in_flight);
-      if (!permit.ok()) {
-        response.status = ToWireStatus(permit.status());
-        response.message = permit.status().ToString();
-        break;
-      }
       std::shared_ptr<Session> session = registry_->Get(request.score.model);
       if (session == nullptr) {
         ErrorsCounter().Increment();
@@ -348,6 +361,20 @@ Response Server::HandleRequest(const Request& request,
             request.score.model.empty()
                 ? "no unambiguous model published (name one explicitly)"
                 : "unknown model \"" + request.score.model + "\"";
+        break;
+      }
+      const Status schema = CheckSchema(*session, request.score.pairs);
+      if (!schema.ok()) {
+        ErrorsCounter().Increment();
+        response.status = ToWireStatus(schema);
+        response.message = schema.ToString();
+        break;
+      }
+      StatusOr<AdmissionController::Permit> permit =
+          admission_.Admit(num_pairs);
+      if (!permit.ok()) {
+        response.status = ToWireStatus(permit.status());
+        response.message = permit.status().ToString();
         break;
       }
       StatusOr<std::vector<float>> scores =

@@ -15,9 +15,9 @@
 ///
 /// Threading: one acceptor thread plus one thread per connection.
 /// Connection threads decode frames and block in the batcher while
-/// their pairs are scored; the batcher's dispatcher is the only caller
-/// of Session::Score, so the engine sees a few large jobs instead of
-/// many 1-pair jobs.
+/// their pairs are scored. The batcher owns no thread: the connection
+/// thread that leads a coalesced batch calls Session::Score for it, so
+/// the engine sees fewer, larger jobs, and batches run concurrently.
 
 #include <atomic>
 #include <list>
@@ -91,8 +91,7 @@ class Server {
   void FinishConnection(Connection* conn);
   /// One framed request -> one response (never throws, never crashes
   /// the connection loop; protocol errors become error responses).
-  Response HandleRequest(const Request& request,
-                               std::atomic<int>* connection_in_flight);
+  Response HandleRequest(const Request& request);
   void HandleHttp(int fd, const std::string& sniffed);
 
   ModelRegistry* const registry_;  // Not owned.

@@ -1,16 +1,19 @@
 // Tests for the serving layer (src/serve): wire-format round-trips and
 // hostile-input rejection, registry hot-swap under concurrent scoring
-// load, dynamic-batcher coalescing correctness, admission-control
-// sheds, and an end-to-end framed-TCP + HTTP-shim smoke against a real
-// server on an ephemeral port. Runs under the TSan preset (ctest -L
-// serve) — the registry swap, batcher, and server teardown are the
-// interesting race surfaces.
+// load, dynamic-batcher coalescing correctness and concurrency,
+// admission-control sheds, schema-mismatch answers, and an end-to-end
+// framed-TCP + HTTP-shim smoke against a real server on an ephemeral
+// port. Runs under the TSan preset (ctest -L serve) — the registry
+// swap, batcher, and server teardown are the interesting race surfaces.
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -324,20 +327,103 @@ TEST(BatcherTest, RejectsAfterShutdownAndNullSession) {
             StatusCode::kUnavailable);
 }
 
+/// Threads in this process, from /proc/self/task.
+int ThreadCount() {
+  return static_cast<int>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator()));
+}
+
+TEST(BatcherTest, ConstructionStartsNoThread) {
+  const int before = ThreadCount();
+  ASSERT_GT(before, 0);
+  DynamicBatcher batcher;
+  EXPECT_EQ(ThreadCount(), before);
+}
+
+TEST(BatcherTest, SmallRequestIsNotQueuedBehindARunningBatch) {
+  auto session_or = Session::Open(FixtureSessionOptions());
+  ASSERT_TRUE(session_or.ok());
+  std::shared_ptr<Session> session = std::move(session_or).value();
+
+  BatcherOptions options;
+  options.max_delay_us = 0;
+  DynamicBatcher batcher(options);
+
+  // An oversized request is scored alone, on its caller's thread. A
+  // 1-pair request that arrives while it runs leads its own batch and
+  // must not wait for the big one: it has to return before half of the
+  // big request's remaining time has passed. Queued behind the big
+  // batch, it would return right after it.
+  using Clock = std::chrono::steady_clock;
+  constexpr int kBigPairs = 2048;
+  std::atomic<bool> big_done{false};
+  Clock::time_point big_returned;
+  std::thread big([&] {
+    const auto scores = batcher.Score(session, MakePairs(kBigPairs));
+    big_returned = Clock::now();
+    big_done.store(true);
+    EXPECT_TRUE(scores.ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const std::vector<EntityPair> one = MakePairs(1);
+  const bool overlapped = !big_done.load();
+  const Clock::time_point submitted = Clock::now();
+  const auto small = batcher.Score(session, one);
+  const Clock::time_point small_returned = Clock::now();
+  big.join();
+  ASSERT_TRUE(overlapped) << "the big request finished too fast to "
+                             "overlap; raise kBigPairs";
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ(small.value(), session->Score(one));
+  EXPECT_LT(small_returned - submitted, (big_returned - submitted) / 2)
+      << "the 1-pair request waited for the " << kBigPairs << "-pair batch";
+  EXPECT_EQ(batcher.stats().batches, 2);
+}
+
+TEST(BatcherTest, BatchClosesWhenFull) {
+  auto session_or = Session::Open(FixtureSessionOptions());
+  ASSERT_TRUE(session_or.ok());
+  std::shared_ptr<Session> session = std::move(session_or).value();
+
+  BatcherOptions options;
+  options.max_batch_size = 2;
+  options.max_delay_us = 10'000'000;  // Only a full batch closes early.
+  DynamicBatcher batcher(options);
+
+  const std::vector<EntityPair> pairs = MakePairs(2);
+  const auto started = std::chrono::steady_clock::now();
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&, t] {
+      const auto scores =
+          batcher.Score(session, {pairs[static_cast<size_t>(t)]});
+      EXPECT_TRUE(scores.ok());
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - started)
+                             .count();
+  EXPECT_LT(seconds, 5.0) << "a full batch waited for its delay window";
+  EXPECT_EQ(batcher.stats().batches, 1);
+  EXPECT_EQ(batcher.stats().pairs, 2);
+}
+
 // --- Admission -------------------------------------------------------
 
 TEST(AdmissionTest, ShedsOverQueueLimitAndCountsRejections) {
   AdmissionOptions options;
   options.max_pending_pairs = 4;
-  options.max_per_connection = 0;
   AdmissionController admission(options);
   obs::Counter& rejected = obs::MetricsRegistry::Global().GetCounter(
       "hiergat.serve.admission.rejected");
   const int64_t before = rejected.Value();
 
-  auto first = admission.Admit(3, nullptr);
+  auto first = admission.Admit(3);
   ASSERT_TRUE(first.ok());
-  auto second = admission.Admit(2, nullptr);  // 3 + 2 > 4: shed.
+  auto second = admission.Admit(2);  // 3 + 2 > 4: shed.
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(rejected.Value(), before + 1);
@@ -345,25 +431,7 @@ TEST(AdmissionTest, ShedsOverQueueLimitAndCountsRejections) {
   // Releasing the permit frees the capacity again.
   first.value().Release();
   EXPECT_EQ(admission.pending_pairs(), 0);
-  EXPECT_TRUE(admission.Admit(4, nullptr).ok());
-}
-
-TEST(AdmissionTest, PerConnectionGateBlamesTheNoisyConnection) {
-  AdmissionOptions options;
-  options.max_pending_pairs = 0;
-  options.max_per_connection = 2;
-  AdmissionController admission(options);
-
-  std::atomic<int> noisy{0};
-  std::atomic<int> quiet{0};
-  auto a = admission.Admit(1, &noisy);
-  auto b = admission.Admit(1, &noisy);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(admission.Admit(1, &noisy).status().code(),
-            StatusCode::kResourceExhausted);
-  // Another connection is unaffected.
-  EXPECT_TRUE(admission.Admit(1, &quiet).ok());
+  EXPECT_TRUE(admission.Admit(4).ok());
 }
 
 // --- End-to-end ------------------------------------------------------
@@ -424,6 +492,34 @@ TEST(ServerTest, FramedScoringHttpShimReloadAndDrain) {
   EXPECT_GE(stats.http_requests, 4);
 }
 
+TEST(ServerTest, SchemaMismatchedPairIsRejectedAndConnectionStaysUsable) {
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.LoadModel("small", FixtureSessionOptions()).ok());
+  const std::vector<EntityPair> pairs = MakePairs(2);
+  const std::vector<float> expected = registry.Get("small")->Score(pairs);
+
+  ServerOptions options;
+  options.port = 0;
+  auto server_or = Server::Start(&registry, options);
+  ASSERT_TRUE(server_or.ok());
+  std::unique_ptr<Server> server = std::move(server_or).value();
+  auto client_or = Client::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(client_or.ok());
+  std::unique_ptr<Client> client = std::move(client_or).value();
+
+  // The fixture model was trained on 3 attributes per entity.
+  EntityPair narrow;
+  narrow.left.Add("name", "acme pump");
+  narrow.right.Add("name", "acme pump");
+  const auto rejected = client->Score("small", {pairs[0], narrow});
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status().ToString();
+
+  const auto scored = client->Score("small", pairs);
+  ASSERT_TRUE(scored.ok()) << scored.status().ToString();
+  EXPECT_EQ(scored.value(), expected);
+}
+
 TEST(ServerTest, ReadyzReports503WithNoModels) {
   ModelRegistry registry;  // Empty.
   ServerOptions options;
@@ -442,7 +538,6 @@ TEST(ServerTest, OverloadShedsWithExplicitResourceExhausted) {
   ServerOptions options;
   options.port = 0;
   options.admission.max_pending_pairs = 1;  // Overloads immediately.
-  options.admission.max_per_connection = 64;
   auto server_or = Server::Start(&registry, options);
   ASSERT_TRUE(server_or.ok());
   std::unique_ptr<Server> server = std::move(server_or).value();

@@ -48,7 +48,6 @@ struct Flags {
   int max_batch_size = 32;
   int max_delay_us = 1000;
   int max_pending_pairs = 8192;
-  int max_per_connection = 64;
   std::vector<std::pair<std::string, std::string>> models;  // name -> path.
   std::string model_dir;
   std::string trace_out;
@@ -68,7 +67,6 @@ void PrintUsage(const char* argv0) {
       "  --max_batch_size=N     pairs per coalesced batch (default 32)\n"
       "  --max_delay_us=N       batch hold time in usec  (default 1000)\n"
       "  --max_pending_pairs=N  admission cap, 0=off     (default 8192)\n"
-      "  --max_per_connection=N per-conn in-flight cap   (default 64)\n"
       "  --trace_out=PATH       write a Chrome trace on shutdown\n",
       argv0);
 }
@@ -105,8 +103,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->max_delay_us = std::atoi(v);
     } else if (const char* v = value_of("--max_pending_pairs")) {
       flags->max_pending_pairs = std::atoi(v);
-    } else if (const char* v = value_of("--max_per_connection")) {
-      flags->max_per_connection = std::atoi(v);
     } else if (const char* v = value_of("--trace_out")) {
       flags->trace_out = v;
     } else if (arg == "--help" || arg == "-h") {
@@ -167,7 +163,6 @@ int Main(int argc, char** argv) {
   server_options.batcher.max_batch_size = flags.max_batch_size;
   server_options.batcher.max_delay_us = flags.max_delay_us;
   server_options.admission.max_pending_pairs = flags.max_pending_pairs;
-  server_options.admission.max_per_connection = flags.max_per_connection;
 
   auto server_or = serve::Server::Start(&registry, server_options);
   if (!server_or.ok()) {
